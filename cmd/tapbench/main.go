@@ -9,8 +9,9 @@
 //
 //   - hot:     the steady-state hot paths (LayeredSeal/LayeredPeel, the
 //     TunnelPool probe cycle, the kernel schedule/run cycle, the
-//     windowed stream transfer, and the obs counter/histogram increment
-//     paths that instrument all of them) — many timed samples, minimum
+//     windowed stream transfer, the obs counter/histogram increment
+//     paths that instrument all of them, and one process-path relay hop)
+//     — many timed samples, minimum
 //     taken, so shared-VM scheduler noise does not masquerade as a
 //     regression (or an improvement);
 //   - micro:   the remaining micro-benchmarks — a few short samples;
@@ -79,7 +80,7 @@ type group struct {
 }
 
 var defaultGroups = []group{
-	{name: "hot", pattern: "^(BenchmarkLayeredSeal|BenchmarkLayeredPeel|BenchmarkPoolProbeCycle|BenchmarkKernelScheduleRun|BenchmarkStreamThroughput|BenchmarkObsCounterInc|BenchmarkObsHistogramObserve)$", benchtime: "500ms", count: 10},
+	{name: "hot", pattern: "^(BenchmarkLayeredSeal|BenchmarkLayeredPeel|BenchmarkPoolProbeCycle|BenchmarkKernelScheduleRun|BenchmarkStreamThroughput|BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkRelayHop)$", benchtime: "500ms", count: 10},
 	{name: "micro", pattern: "^(BenchmarkSeal|BenchmarkOpen|BenchmarkSealer|BenchmarkPastryRoute|BenchmarkOverlayBuild|BenchmarkTunnelWalk|BenchmarkPastryJoinProtocol|BenchmarkReplicaMigration|BenchmarkSecureLookup)", benchtime: "200ms", count: 3},
 	{name: "figures", pattern: "^(BenchmarkFig|BenchmarkExt|BenchmarkAblation)", benchtime: "1x", count: 1},
 }
@@ -93,7 +94,7 @@ func main() {
 		quick           = flag.Bool("quick", false, "force -benchtime=1x -count=1 for every group (CI smoke mode)")
 		pkgs            = flag.String("pkgs", "./...", "package pattern handed to go test")
 		maxRegress      = flag.Float64("max-regress", 0, "exit non-zero if any ns/op regresses more than this percent vs -baseline (0 = report only)")
-		maxAllocRegress = flag.Float64("max-alloc-regress", 0, "exit non-zero if any allocs/op regresses more than this percent vs -baseline (0 = report only)")
+		maxAllocRegress = flag.Float64("max-alloc-regress", 0, "exit non-zero if any allocs/op or B/op regresses more than this percent vs -baseline (0 = report only)")
 		cpuProfile      = flag.String("cpuprofile", "", "pass -cpuprofile to go test (requires -pkgs to name a single package)")
 		memProfile      = flag.String("memprofile", "", "pass -memprofile to go test (requires -pkgs to name a single package)")
 	)
@@ -289,10 +290,14 @@ func parseBenchLine(line string) (Result, bool) {
 
 // compare prints a delta table against a baseline report and returns
 // whether any benchmark regressed beyond maxRegress percent on ns/op or
-// maxAllocRegress percent on allocs/op (each gate active only when set).
-// The alloc gate uses an absolute slack of one allocation: a 0->1 or 1->2
-// step on a nearly alloc-free benchmark is always a regression worth
-// failing, while percentage math alone would divide by zero or flag noise.
+// maxAllocRegress percent on allocs/op or B/op (each gate active only
+// when set). The alloc gate uses an absolute slack of one allocation: a
+// 0->1 or 1->2 step on a nearly alloc-free benchmark is always a
+// regression worth failing, while percentage math alone would divide by
+// zero or flag noise. The B/op gate's slack is bytesSlack, which absorbs
+// the amortized refills of pools emptied by a collection.
+const bytesSlack = 64
+
 func compare(path string, cur Report, maxRegress, maxAllocRegress float64) (bool, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -327,6 +332,16 @@ func compare(path string, cur Report, maxRegress, maxAllocRegress float64) (bool
 			}
 			if da > maxAllocRegress {
 				fmt.Printf("  ^ allocs/op regression %+.1f%% beyond -max-alloc-regress=%.1f%%\n", da, maxAllocRegress)
+				regressed = true
+			}
+		}
+		if maxAllocRegress > 0 && r.BytesPerOp > b.BytesPerOp+bytesSlack {
+			db := 100.0
+			if b.BytesPerOp > 0 {
+				db = (r.BytesPerOp - b.BytesPerOp) / b.BytesPerOp * 100
+			}
+			if db > maxAllocRegress {
+				fmt.Printf("  ^ B/op regression %.0f -> %.0f (%+.1f%%) beyond -max-alloc-regress=%.1f%%\n", b.BytesPerOp, r.BytesPerOp, db, maxAllocRegress)
 				regressed = true
 			}
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"tap/internal/core"
@@ -81,34 +80,19 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 			series = append(series, s+"_p95")
 		}
 	}
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 6: 2Mb transfer time (s) vs network size (k=%d, %d sims x %d transfers, 1-230ms links @1.5Mb/s)",
 			p.K, p.Sims, p.Transfers),
 		"nodes", series...)
 
-	// Tail collection across jobs.
-	type sampleKey struct {
+	// Each job collects its own samples; they are merged in job order
+	// once all jobs are done, so the table's floating-point sums do not
+	// depend on which job finished first.
+	type sample struct {
 		x      float64
 		series string
+		v      float64
 	}
-	var tailMu sync.Mutex
-	tails := make(map[sampleKey]*trace.Sample)
-	record := func(x float64, s string, v float64) {
-		tbl.Add(x, s, v)
-		if !p.WithTails {
-			return
-		}
-		tailMu.Lock()
-		key := sampleKey{x, s}
-		smp := tails[key]
-		if smp == nil {
-			smp = &trace.Sample{}
-			tails[key] = smp
-		}
-		smp.Add(v)
-		tailMu.Unlock()
-	}
-
 	type job struct{ sizeIdx, sim int }
 	var jobs []job
 	for si := range p.Sizes {
@@ -116,8 +100,12 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 			jobs = append(jobs, job{si, sim})
 		}
 	}
+	samples := make([][]sample, len(jobs))
 	root := rng.New(p.Seed)
 	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+		record := func(x float64, s string, v float64) {
+			samples[i] = append(samples[i], sample{x, s, v})
+		}
 		j := jobs[i]
 		size := p.Sizes[j.sizeIdx]
 		stream := root.SplitN(fmt.Sprintf("fig6-n%d", size), j.sim)
@@ -217,10 +205,26 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.WithTails {
-		for key, smp := range tails {
-			tbl.Add(key.x, key.series+"_p95", smp.P95())
+	type sampleKey struct {
+		x      float64
+		series string
+	}
+	tails := make(map[sampleKey]*trace.Sample)
+	for _, js := range samples {
+		for _, smp := range js {
+			tbl.Add(smp.x, smp.series, smp.v)
+			if !p.WithTails {
+				continue
+			}
+			key := sampleKey{smp.x, smp.series}
+			if tails[key] == nil {
+				tails[key] = &trace.Sample{}
+			}
+			tails[key].Add(smp.v)
 		}
 	}
-	return tbl.Table(), nil
+	for key, smp := range tails {
+		tbl.Add(key.x, key.series+"_p95", smp.P95())
+	}
+	return tbl, nil
 }

@@ -61,32 +61,41 @@ type DataMsg struct {
 // SizeBytes implements transport.Message.
 func (m *DataMsg) SizeBytes() int { return id.Size + len(m.Payload) }
 
-// Codec frames the procnode message set for tcptransport. All decoded
-// messages own their buffers (the transport's read buffer is reused).
+// Codec frames the procnode message set for tcptransport.
+//
+// Buffer ownership follows tcptransport.Codec: AppendEncode appends to
+// the buffer it is given, and Decode keeps the payload it is given —
+// decoded envelopes and exit payloads alias the frame buffer, which the
+// transport hands over with the frame. A relay therefore peels the frame
+// where it landed and copies the surviving bytes exactly once, into the
+// next frame's encode buffer.
 type Codec struct{}
 
-// Encode implements tcptransport.Codec.
-func (Codec) Encode(msg transport.Message) (byte, []byte, error) {
+// Encode returns msg's frame kind and payload in a new buffer presized to
+// the exact encoded length: one allocation, through AppendEncode.
+func (c Codec) Encode(msg transport.Message) (byte, []byte, error) {
+	return c.AppendEncode(make([]byte, 0, encodedSize(msg)), msg)
+}
+
+// AppendEncode implements tcptransport.Codec.
+func (Codec) AppendEncode(dst []byte, msg transport.Message) (byte, []byte, error) {
+	w := wire.WriterOn(dst)
 	switch m := msg.(type) {
 	case *AnchorMsg:
-		w := wire.NewWriter(tha.WireSize + 8)
 		w.ID(m.Anchor.HopID)
 		w.Blob(m.Anchor.Key[:])
 		w.Blob(m.Anchor.PWHash[:])
 		return kindAnchor, w.Bytes(), nil
 	case *AnchorAck:
-		w := wire.NewWriter(id.Size)
 		w.ID(m.HopID)
 		return kindAnchorAck, w.Bytes(), nil
 	case *core.Envelope:
-		w := wire.NewWriter(m.SizeBytes() + 16)
 		w.ID(m.HopID)
 		w.Int64(int64(m.Hint))
 		w.Blob(m.Sealed)
 		w.Uint32(uint32(m.Pad))
 		return kindForward, w.Bytes(), nil
 	case *core.ReplyEnvelope:
-		w := wire.NewWriter(m.SizeBytes() + 24)
 		w.ID(m.Target)
 		w.Int64(int64(m.Hint))
 		w.Blob(m.Onion)
@@ -94,27 +103,62 @@ func (Codec) Encode(msg transport.Message) (byte, []byte, error) {
 		w.Uint32(uint32(m.Pad))
 		return kindReply, w.Bytes(), nil
 	case *DataMsg:
-		w := wire.NewWriter(id.Size + len(m.Payload) + 8)
 		w.ID(m.Dest)
 		w.Blob(m.Payload)
 		return kindData, w.Bytes(), nil
 	default:
-		return 0, nil, fmt.Errorf("procnode: cannot encode %T", msg)
+		return 0, dst, fmt.Errorf("procnode: cannot encode %T", msg)
 	}
 }
 
-// Decode implements tcptransport.Codec.
+// encodedSize is the exact payload length AppendEncode produces for msg
+// (0 for a message it rejects).
+func encodedSize(msg transport.Message) int {
+	blob := func(n int) int { return uvarintLen(n) + n }
+	switch m := msg.(type) {
+	case *AnchorMsg:
+		return id.Size + blob(len(m.Anchor.Key)) + blob(len(m.Anchor.PWHash))
+	case *AnchorAck:
+		return id.Size
+	case *core.Envelope:
+		return id.Size + 8 + blob(len(m.Sealed)) + 4
+	case *core.ReplyEnvelope:
+		return id.Size + 8 + blob(len(m.Onion)) + blob(len(m.Data)) + 4
+	case *DataMsg:
+		return id.Size + blob(len(m.Payload))
+	default:
+		return 0
+	}
+}
+
+// uvarintLen is the encoded length of n as a uvarint.
+func uvarintLen(n int) int {
+	l := 1
+	for ; n >= 0x80; n >>= 7 {
+		l++
+	}
+	return l
+}
+
+// Decode implements tcptransport.Codec. The returned message aliases
+// payload. Only the canonical encoding of each message is accepted (fixed
+// key and hash widths, minimal length prefixes, no trailing bytes), so
+// whatever decodes re-encodes to the same bytes.
 func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 	r := wire.NewReader(payload)
 	switch kind {
 	case kindAnchor:
 		var m AnchorMsg
 		m.Anchor.HopID = r.ID()
-		copy(m.Anchor.Key[:], r.Blob())
-		copy(m.Anchor.PWHash[:], r.Blob())
+		key, pwHash := r.Blob(), r.Blob()
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: anchor: %w", err)
 		}
+		if len(key) != len(m.Anchor.Key) || len(pwHash) != len(m.Anchor.PWHash) {
+			return nil, fmt.Errorf("procnode: anchor: %d-byte key, %d-byte password hash", len(key), len(pwHash))
+		}
+		copy(m.Anchor.Key[:], key)
+		copy(m.Anchor.PWHash[:], pwHash)
 		return &m, nil
 	case kindAnchorAck:
 		m := &AnchorAck{HopID: r.ID()}
@@ -126,7 +170,7 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 		var m core.Envelope
 		m.HopID = r.ID()
 		m.Hint = transport.Addr(r.Int64())
-		m.Sealed = append([]byte(nil), r.Blob()...)
+		m.Sealed = r.Blob()
 		m.Pad = int(r.Uint32())
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: forward envelope: %w", err)
@@ -136,8 +180,8 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 		var m core.ReplyEnvelope
 		m.Target = r.ID()
 		m.Hint = transport.Addr(r.Int64())
-		m.Onion = append([]byte(nil), r.Blob()...)
-		m.Data = append([]byte(nil), r.Blob()...)
+		m.Onion = r.Blob()
+		m.Data = r.Blob()
 		m.Pad = int(r.Uint32())
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: reply envelope: %w", err)
@@ -145,7 +189,7 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 		return &m, nil
 	case kindData:
 		m := &DataMsg{Dest: r.ID()}
-		m.Payload = append([]byte(nil), r.Blob()...)
+		m.Payload = r.Blob()
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: data: %w", err)
 		}

@@ -2,7 +2,9 @@ package procnode
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -38,7 +40,8 @@ type Node struct {
 	logf func(format string, args ...any)
 	m    *nodeMetrics
 
-	anchors map[id.ID]tha.Anchor
+	anchors   map[id.ID]tha.Anchor
+	schedules scheduleRing
 
 	// byID is the full-membership node-ID index. Unlike anchors it is
 	// written off-loop (SetPeers runs on the joining goroutine), so it
@@ -97,14 +100,55 @@ func (n *Node) lookupID(target id.ID) (transport.Addr, bool) {
 // meaningful from the dispatch loop or after traffic has quiesced.
 func (n *Node) AnchorCount() int { return len(n.anchors) }
 
+// scheduleCacheSize bounds how many of a node's anchors keep a derived
+// key schedule (expanded AES key plus keyed HMAC state, about a KiB
+// each). Nodes never delete anchors, so caching one schedule per anchor
+// ever installed would grow without bound.
+const scheduleCacheSize = 64
+
+// scheduleRing is the fixed set of anchors allowed to hold a derived key
+// schedule. An anchor is admitted on a peel that finds its schedule
+// missing, taking the oldest slot and dropping that anchor's schedule;
+// the peel then derives the schedule once and later peels reuse it. An
+// evicted anchor still peels: its next peel re-admits it and re-derives.
+type scheduleRing struct {
+	slots [scheduleCacheSize]tha.Anchor
+	next  int
+}
+
+// admit makes room for a's schedule unless it already holds one.
+func (r *scheduleRing) admit(a tha.Anchor) {
+	if a.ScheduleCached() {
+		return
+	}
+	r.slots[r.next].DropSchedule()
+	r.slots[r.next] = a
+	r.next = (r.next + 1) % scheduleCacheSize
+}
+
+// anchor returns the anchor for hop, admitted to the schedule ring so the
+// peel that follows runs on a cached schedule.
+func (n *Node) anchor(hop id.ID) (tha.Anchor, bool) {
+	a, ok := n.anchors[hop]
+	if ok {
+		n.schedules.admit(a)
+	}
+	return a, ok
+}
+
+// install stores an initiator's anchor with an empty schedule slot.
+func (n *Node) install(a tha.Anchor) {
+	n.anchors[a.HopID] = a.WithScheduleSlot()
+	n.m.anchorInstalls.Inc()
+	n.m.anchorsHeld.Set(int64(len(n.anchors)))
+}
+
 // Deliver implements transport.Handler: the single entry point for all
 // overlay traffic.
 func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 	switch m := msg.(type) {
 	case *AnchorMsg:
-		n.anchors[m.Anchor.HopID] = m.Anchor
-		n.m.anchorInstalls.Inc()
-		n.m.anchorsHeld.Set(int64(len(n.anchors)))
+		n.install(m.Anchor)
 		n.sendTo(from, &AnchorAck{HopID: m.Anchor.HopID}, 0)
 	case *AnchorAck:
 		n.m.anchorAcks.Inc()
@@ -187,7 +231,7 @@ func (n *Node) sendTo(dst transport.Addr, msg transport.Message, attempt int) {
 // handleForward peels one forward layer and relays, or — at the exit —
 // routes the payload to its destination node.
 func (n *Node) handleForward(env *core.Envelope) {
-	a, ok := n.anchors[env.HopID]
+	a, ok := n.anchor(env.HopID)
 	if !ok {
 		n.logf("procnode %d: no anchor for hop %s", n.Addr, env.HopID.Short())
 		return
@@ -206,11 +250,10 @@ func (n *Node) handleForward(env *core.Envelope) {
 			n.handleExitPayload(layer.Payload)
 			return
 		}
-		payload := append([]byte(nil), layer.Payload...)
-		dest := layer.Dest
-		n.sendResolved(dest, 0, func(dst transport.Addr) {
-			n.sendTo(dst, &DataMsg{Dest: dest, Payload: payload}, 0)
-		})
+		// The payload aliases the frame buffer we own; nothing else
+		// touches it before the DataMsg is encoded.
+		msg := &DataMsg{Dest: layer.Dest, Payload: layer.Payload}
+		n.sendResolved(msg.Dest, 0, func(dst transport.Addr) { n.sendTo(dst, msg, 0) })
 		return
 	}
 	dst, ok := n.resolve(layer.NextHint, layer.Next)
@@ -227,7 +270,7 @@ func (n *Node) handleForward(env *core.Envelope) {
 // handleReply peels one reply layer when this node anchors the target
 // hop, or consumes the envelope when it is the initiator's own bid.
 func (n *Node) handleReply(env *core.ReplyEnvelope) {
-	a, ok := n.anchors[env.Target]
+	a, ok := n.anchor(env.Target)
 	if !ok {
 		if env.Target == n.ID {
 			// The tail hop resolved our bid: the reply is home.
@@ -268,7 +311,7 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 //
 // Echo payload, sealed under key:
 //
-//	sid uint64, seq uint32, chunk blob
+//	sid uint64, seq uint32, fin byte, chunk blob
 
 func encodeRequest(sid uint64, seq uint32, fin bool, key crypt.Key, rt, chunk []byte) []byte {
 	w := wire.NewWriter(32 + len(rt) + len(chunk))
@@ -295,7 +338,7 @@ func (n *Node) handleExitPayload(payload []byte) {
 	fin := r.Byte()
 	var key crypt.Key
 	copy(key[:], r.Blob())
-	rtEnc := append([]byte(nil), r.Blob()...)
+	rtEnc := r.Blob()
 	chunk := r.Blob()
 	if err := r.Done(); err != nil {
 		n.logf("procnode %d: bad exit payload: %v", n.Addr, err)
@@ -306,12 +349,7 @@ func (n *Node) handleExitPayload(payload []byte) {
 		n.logf("procnode %d: %v", n.Addr, err)
 		return
 	}
-	echo := wire.NewWriter(16 + len(chunk))
-	echo.Uint64(sid)
-	echo.Uint32(seq)
-	echo.Byte(fin)
-	echo.Blob(chunk)
-	sealed, err := crypt.Seal(key, rand.Reader, echo.Bytes())
+	sealed, err := sealEcho(key, rand.Reader, sid, seq, fin, chunk)
 	if err != nil {
 		n.logf("procnode %d: sealing echo: %v", n.Addr, err)
 		return
@@ -324,4 +362,23 @@ func (n *Node) handleExitPayload(payload []byte) {
 	n.sendTo(dst, &core.ReplyEnvelope{
 		Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: sealed,
 	}, 0)
+}
+
+// sealEcho seals the echo payload for (sid, seq, fin, chunk) under key.
+// The header is written straight into the sealed buffer and the chunk is
+// encrypted from where it lies, so the reply costs one allocation and no
+// plaintext copy; the output is bit-identical to crypt.Seal over the
+// wire-encoded echo with the same nonce source.
+func sealEcho(key crypt.Key, nonces io.Reader, sid uint64, seq uint32, fin byte, chunk []byte) ([]byte, error) {
+	var hdr [8 + 4 + 1 + binary.MaxVarintLen64]byte
+	binary.BigEndian.PutUint64(hdr[0:], sid)
+	binary.BigEndian.PutUint32(hdr[8:], seq)
+	hdr[12] = fin
+	hdrLen := 13 + binary.PutUvarint(hdr[13:], uint64(len(chunk)))
+	sealed := make([]byte, crypt.Overhead+hdrLen+len(chunk))
+	copy(sealed[crypt.NonceSize:], hdr[:hdrLen])
+	if err := crypt.NewSealer(key).SealInPlaceFrom(sealed, nonces, hdrLen, chunk); err != nil {
+		return nil, err
+	}
+	return sealed, nil
 }

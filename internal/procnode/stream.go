@@ -161,13 +161,14 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 		if err != nil {
 			return nil, err
 		}
+		sealer := crypt.NewSealer(key)
 		var echo []byte
 		for attempt := 0; ; attempt++ {
 			if attempt > 0 {
 				n.m.streamRetransmits.Inc()
 			}
 			n.tr.Send(n.Addr, cfg.ForwardHops[0], env)
-			echo = n.awaitEcho(key, sid, uint32(seq), cfg.Timeout)
+			echo = n.awaitEcho(sealer, sid, uint32(seq), cfg.Timeout)
 			if echo != nil {
 				break
 			}
@@ -202,15 +203,16 @@ func (n *Node) awaitAck(hopID id.ID, timeout time.Duration) bool {
 }
 
 // awaitEcho waits for the reply carrying (sid, seq), opening candidates
-// with the chunk key. Replies that fail to open (stale retransmits of an
-// earlier chunk, sealed under a different key) are discarded.
-func (n *Node) awaitEcho(key crypt.Key, sid uint64, seq uint32, timeout time.Duration) []byte {
+// in place with the chunk key's sealer; the returned echo aliases the
+// reply's frame buffer. Replies that fail to open (stale retransmits of
+// an earlier chunk, sealed under a different key) are discarded.
+func (n *Node) awaitEcho(sealer *crypt.Sealer, sid uint64, seq uint32, timeout time.Duration) []byte {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
 		select {
 		case sealed := <-n.replies:
-			plain, err := crypt.Open(key, sealed)
+			plain, err := sealer.OpenInPlace(sealed)
 			if err != nil {
 				continue
 			}
@@ -218,7 +220,7 @@ func (n *Node) awaitEcho(key crypt.Key, sid uint64, seq uint32, timeout time.Dur
 			gotSid := r.Uint64()
 			gotSeq := r.Uint32()
 			_ = r.Byte() // fin echo
-			chunk := append([]byte(nil), r.Blob()...)
+			chunk := r.Blob()
 			if r.Done() != nil || gotSid != sid || gotSeq != seq {
 				continue
 			}

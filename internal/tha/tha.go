@@ -61,6 +61,26 @@ func (a Anchor) Sealer() *crypt.Sealer {
 	return crypt.NewSealer(a.Key)
 }
 
+// WithScheduleSlot returns a copy of a with a fresh, empty key-schedule
+// slot — what Deploy installs — shared by every further copy. Nodes that
+// store anchors outside a Directory use it to cache per-anchor schedules.
+func (a Anchor) WithScheduleSlot() Anchor {
+	a.sealer = &sealerCell{}
+	return a
+}
+
+// ScheduleCached reports whether a's slot holds a derived key schedule.
+func (a Anchor) ScheduleCached() bool { return a.sealer != nil && a.sealer.s != nil }
+
+// DropSchedule empties a's slot, releasing its derived schedule; the next
+// Sealer call derives it again. Holders that bound schedule memory evict
+// through it.
+func (a Anchor) DropSchedule() {
+	if a.sealer != nil {
+		a.sealer.s = nil
+	}
+}
+
 // WireSize is the encoded anchor size used for network-cost accounting
 // (hopid + key + password hash).
 const WireSize = id.Size + crypt.KeySize + 32

@@ -18,6 +18,15 @@
 // drops messages instead, which is exactly the unreliable-send semantics
 // the seam promises and the layers above already recover from.
 //
+// Data path. Send encodes each message straight into a pooled buffer
+// (Codec.AppendEncode) and queues it beside its 24-byte frame header; the
+// peer's writer drains whatever is queued, up to writeBatch frames, into
+// one writev (net.Buffers) and then recycles the buffers. Readers wrap
+// each connection in a bufio.Reader and read every frame into a buffer of
+// its own that the codec's Decode keeps, so decoded messages alias it
+// instead of copying. One relayed frame thus costs one payload-sized
+// allocation (the read buffer) and no transport-side payload copies.
+//
 // Dialing goes through the Dialer seam: the default is a net.Dialer with
 // Config.DialTimeout, and tests (or an onion-routed deployment wrapping
 // connections in another transport) inject their own — the same
@@ -34,9 +43,11 @@
 package tcptransport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -46,14 +57,76 @@ import (
 	"tap/internal/wire"
 )
 
-// Codec translates between engine messages and frame payloads. Encode
-// returns the frame kind and payload for a message; Decode reverses it.
-// The payload slice passed to Decode aliases the connection's read
-// buffer and is valid only for the duration of the call — implementations
-// copy what they keep.
+// Codec translates between engine messages and frame payloads.
+//
+// AppendEncode appends msg's payload to dst and returns the frame kind
+// and the extended slice, with append's contract: the result holds dst's
+// bytes followed by the payload. dst is a buffer from the transport's
+// pool, presized from msg.SizeBytes(), and goes back to the pool once the
+// frame has been written (or dropped) — so the codec must retain neither
+// dst nor the result. A result that does not share dst's backing array
+// (the codec returned a buffer of its own, or append had to grow) is
+// written but never pooled.
+//
+// Decode owns payload: every frame is read into a fresh buffer that the
+// transport never touches again, so decoded messages may alias it
+// instead of copying.
 type Codec interface {
-	Encode(msg transport.Message) (kind byte, payload []byte, err error)
+	AppendEncode(dst []byte, msg transport.Message) (kind byte, out []byte, err error)
 	Decode(kind byte, payload []byte) (transport.Message, error)
+}
+
+// frameHeaderSize is the fixed prefix of every transport frame: the wire
+// header followed by the source and destination addresses.
+const frameHeaderSize = wire.FrameHeaderSize + 16
+
+// encodeSlack is added to msg.SizeBytes() when presizing an encode
+// buffer: codecs spend a few bytes on length prefixes and counters that
+// SizeBytes does not report. maxPresize caps the presize, so a message
+// whose SizeBytes claims more than it encodes (link padding rides as a
+// count, not as bytes) cannot make Send allocate for it; a payload past
+// the cap grows by append and is not pooled.
+const (
+	encodeSlack = 64
+	maxPresize  = 64 << 10
+)
+
+// writeBatch caps the frames one writev carries (two iovecs each, well
+// under the kernel's IOV_MAX).
+const writeBatch = 64
+
+// readBufferSize is the per-connection bufio size: several small frames
+// per read syscall. Most of a payload larger than the buffer bypasses it
+// and is read straight into the frame's own slice, so a bigger buffer
+// would only add a copy (and resident memory per connection).
+const readBufferSize = 4 << 10
+
+// encodePool recycles encode buffers across frames (and transports).
+// Entries are *[]byte so Put does not allocate.
+var encodePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// outFrame is one queued frame: its header and the codec's payload. buf
+// is the pool entry backing payload, or nil when the payload is not a
+// pool buffer; it returns to the pool once the frame is written or
+// dropped, and not before.
+type outFrame struct {
+	hdr     [frameHeaderSize]byte
+	payload []byte
+	buf     *[]byte
+}
+
+// release hands f's buffer back to the pool. f must not be used after.
+func (f *outFrame) release() {
+	if f.buf != nil {
+		encodePool.Put(f.buf)
+	}
+	*f = outFrame{}
+}
+
+// sameArray reports whether a and b start at the same backing array
+// element — whether the codec's result is the pooled buffer itself.
+func sameArray(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // Dialer is the connection-establishment seam. The zero Config uses a
@@ -219,7 +292,7 @@ func (t *Transport) Stats() StatsSnapshot {
 // turning late sends into ordinary drops.
 type peer struct {
 	hostport string
-	out      chan []byte
+	out      chan outFrame
 	quit     chan struct{}
 	stop     sync.Once
 }
@@ -351,7 +424,9 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 }
 
 // readLoop decodes frames from one inbound connection and dispatches
-// them. The frame payload is [src:8][dst:8][codec payload].
+// them. The frame payload is [src:8][dst:8][codec payload]. Each frame is
+// read through the connection's bufio.Reader into a buffer of its own,
+// which the codec keeps.
 //
 // The src address is taken from the frame as-is: the transport trusts
 // the network segment it runs on and does no per-connection
@@ -378,10 +453,19 @@ func (t *Transport) readLoop(conn net.Conn) {
 		case <-done:
 		}
 	}()
-	buf := make([]byte, 64<<10)
+	br := bufio.NewReaderSize(conn, readBufferSize)
 	for {
-		kind, payload, err := wire.ReadFrame(conn, buf)
+		hdr, err := br.Peek(wire.FrameHeaderSize)
 		if err != nil {
+			return
+		}
+		kind, n, err := wire.ParseFrameHeader(hdr)
+		if err != nil {
+			return
+		}
+		_, _ = br.Discard(wire.FrameHeaderSize) // cannot fail: Peek just buffered these bytes
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
 		t.m.framesIn.Inc()
@@ -438,7 +522,9 @@ func (t *Transport) Schedule(delay transport.Time, fn func()) {
 // Send encodes and transmits msg. Local destinations (an attached
 // handler in this process) short-circuit through the dispatch loop
 // without touching a socket, so one process can host several addresses —
-// the integration tests and single-binary demos rely on that.
+// the integration tests and single-binary demos rely on that. Remote
+// messages are encoded into a pooled buffer and queued for the peer's
+// writer; every drop path returns the buffer to the pool.
 func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 	t.m.sent.Inc()
 	t.mu.Lock()
@@ -448,20 +534,16 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 		t.deliverLocal(src, dst, msg)
 		return
 	}
-	kind, payload, err := t.cfg.Codec.Encode(msg)
+	f, err := t.encode(src, dst, msg)
 	if err != nil {
 		t.logf("tcptransport: encode to %d: %v", dst, err)
 		t.m.dropEncode.Inc()
 		return
 	}
-	body := make([]byte, 0, 16+len(payload))
-	body = binary.BigEndian.AppendUint64(body, uint64(int64(src)))
-	body = binary.BigEndian.AppendUint64(body, uint64(int64(dst)))
-	body = append(body, payload...)
-	frame := wire.AppendFrame(nil, kind, body)
 
 	p := t.peerFor(dst)
 	if p == nil {
+		f.release()
 		t.m.dropUnknownPeer.Inc()
 		return
 	}
@@ -469,12 +551,13 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 	case <-p.quit:
 		// Peer torn down between peerFor and the enqueue (endpoint
 		// change, RemovePeer, Close). Drop; the next Send re-resolves.
+		f.release()
 		t.m.dropConnDown.Inc()
 		return
 	default:
 	}
 	select {
-	case p.out <- frame:
+	case p.out <- f:
 		t.m.queueDepth.Inc()
 		select {
 		case <-p.quit:
@@ -490,8 +573,34 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 	default:
 		// Full queue: the peer is slower than we produce. Drop, as an
 		// overloaded link would.
+		f.release()
 		t.m.dropQueueFull.Inc()
 	}
+}
+
+// encode builds msg's frame: the codec appends the payload to a pooled
+// buffer, and the header is filled in beside it.
+func (t *Transport) encode(src, dst transport.Addr, msg transport.Message) (outFrame, error) {
+	bp := encodePool.Get().(*[]byte)
+	if need := min(msg.SizeBytes()+encodeSlack, maxPresize); cap(*bp) < need {
+		*bp = make([]byte, 0, need)
+	}
+	kind, payload, err := t.cfg.Codec.AppendEncode((*bp)[:0], msg)
+	if err != nil {
+		encodePool.Put(bp)
+		return outFrame{}, err
+	}
+	f := outFrame{payload: payload}
+	if sameArray(payload, *bp) {
+		f.buf = bp
+	} else {
+		// Not our buffer (or no longer): write it, never pool it.
+		encodePool.Put(bp)
+	}
+	wire.PutFrameHeader(f.hdr[:], kind, 16+len(payload))
+	binary.BigEndian.PutUint64(f.hdr[wire.FrameHeaderSize:], uint64(int64(src)))
+	binary.BigEndian.PutUint64(f.hdr[wire.FrameHeaderSize+8:], uint64(int64(dst)))
+	return f, nil
 }
 
 // peerFor returns the live peer record for dst, creating its queue and
@@ -510,7 +619,7 @@ func (t *Transport) peerFor(dst transport.Addr) *peer {
 	if !ok {
 		return nil
 	}
-	p := &peer{hostport: hostport, out: make(chan []byte, t.cfg.SendQueue), quit: make(chan struct{})}
+	p := &peer{hostport: hostport, out: make(chan outFrame, t.cfg.SendQueue), quit: make(chan struct{})}
 	t.conns[dst] = p
 	t.wg.Add(1)
 	go t.writeLoop(dst, p)
@@ -518,9 +627,15 @@ func (t *Transport) peerFor(dst transport.Addr) *peer {
 }
 
 // writeLoop owns one peer's connection: dial once (per connection
-// lifetime), then drain the queue onto it. Any error tears the peer down;
+// lifetime), then drain the queue onto it — everything already queued,
+// up to writeBatch frames, in one writev. Any error tears the peer down;
 // the next Send re-creates it, so reconnection is lazy and the engine
 // above sees only message loss in between.
+//
+// Frames count as out when their batch is handed to writev, before the
+// call: a receiver may deliver a frame before the call returns, and
+// whoever has seen the delivery must find the frame counted. The frames
+// a failed writev did not finish are counted as conn_down drops as well.
 func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 	defer t.wg.Done()
 	ctx, cancel := context.WithTimeout(context.Background(), t.cfg.DialTimeout)
@@ -557,20 +672,49 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 		case <-done:
 		}
 	}()
+	batch := make([]outFrame, 0, writeBatch)
+	iov := make([][]byte, 0, 2*writeBatch)
+	var bufs net.Buffers
 	for {
 		select {
 		case <-p.quit:
 			return
-		case frame := <-p.out:
-			t.m.queueDepth.Dec()
-			if _, err := conn.Write(frame); err != nil {
-				t.m.dropConnDown.Inc()
-				t.logf("tcptransport: write %d (%s): %v", dst, p.hostport, err)
-				t.dropPeer(dst, p, true)
-				return
+		case f := <-p.out:
+			batch = append(batch[:0], f)
+		}
+	fill:
+		for len(batch) < writeBatch {
+			select {
+			case f := <-p.out:
+				batch = append(batch, f)
+			default:
+				break fill
 			}
-			t.m.framesOut.Inc()
-			t.m.bytesOut.Add(uint64(len(frame)))
+		}
+		t.m.queueDepth.Add(-int64(len(batch)))
+		iov = iov[:0]
+		size := 0
+		for i := range batch {
+			iov = append(iov, batch[i].hdr[:], batch[i].payload)
+			size += frameHeaderSize + len(batch[i].payload)
+		}
+		t.m.framesOut.Add(uint64(len(batch)))
+		t.m.bytesOut.Add(uint64(size))
+		bufs = iov
+		raceReleaseIO()
+		written, err := bufs.WriteTo(conn)
+		unsent := 0
+		for i := range batch {
+			if written -= int64(frameHeaderSize + len(batch[i].payload)); written < 0 {
+				unsent++
+			}
+			batch[i].release()
+		}
+		if err != nil {
+			t.m.dropConnDown.Add(uint64(unsent))
+			t.logf("tcptransport: write %d (%s): %v", dst, p.hostport, err)
+			t.dropPeer(dst, p, true)
+			return
 		}
 	}
 }
@@ -603,11 +747,12 @@ func (t *Transport) dropPeer(dst transport.Addr, p *peer, hadConn bool) {
 }
 
 // discardQueued drains whatever was queued behind a dead connection,
-// counting each frame as a drop.
+// counting each frame as a drop and recycling its buffer.
 func (t *Transport) discardQueued(p *peer) {
 	for {
 		select {
-		case <-p.out:
+		case f := <-p.out:
+			f.release()
 			t.m.queueDepth.Dec()
 			t.m.dropConnDown.Inc()
 		default:

@@ -53,22 +53,32 @@ var (
 // their own payloads, so an oversized one is a programming error, not a
 // peer's misbehavior.
 func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
-	if len(payload) > MaxFramePayload {
-		panic(fmt.Sprintf("wire: frame payload %d exceeds limit %d", len(payload), MaxFramePayload))
-	}
-	dst = append(dst, FrameMagic0, FrameMagic1, FrameVersion, kind)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	var hdr [FrameHeaderSize]byte
+	PutFrameHeader(hdr[:], kind, len(payload))
+	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
+}
+
+// PutFrameHeader writes the header of a frame carrying payloadLen bytes
+// of kind into hdr[:FrameHeaderSize]. Writers that gather a frame from
+// separate buffers (a writev of header and payload) use it to build the
+// header alone; the bytes are exactly AppendFrame's prefix. It panics on
+// an oversized payload, like AppendFrame.
+func PutFrameHeader(hdr []byte, kind byte, payloadLen int) {
+	if payloadLen > MaxFramePayload {
+		panic(fmt.Sprintf("wire: frame payload %d exceeds limit %d", payloadLen, MaxFramePayload))
+	}
+	hdr[0], hdr[1], hdr[2], hdr[3] = FrameMagic0, FrameMagic1, FrameVersion, kind
+	binary.BigEndian.PutUint32(hdr[4:FrameHeaderSize], uint32(payloadLen))
 }
 
 // WriteFrame writes one framed payload to w.
 func WriteFrame(w io.Writer, kind byte, payload []byte) error {
-	var hdr [FrameHeaderSize]byte
-	hdr[0], hdr[1], hdr[2], hdr[3] = FrameMagic0, FrameMagic1, FrameVersion, kind
 	if len(payload) > MaxFramePayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameSize, len(payload))
 	}
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
+	var hdr [FrameHeaderSize]byte
+	PutFrameHeader(hdr[:], kind, len(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -76,8 +86,12 @@ func WriteFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// checkHeader validates a frame header and returns (kind, payload length).
-func checkHeader(hdr []byte) (byte, int, error) {
+// ParseFrameHeader validates the frame header in hdr[:FrameHeaderSize]
+// — magic, version, and the MaxFramePayload guard — and returns the kind
+// and the payload length. Readers that manage their own payload buffers
+// (a buffered stream handing each frame a fresh, caller-owned slice) call
+// it before reading or allocating any payload byte.
+func ParseFrameHeader(hdr []byte) (kind byte, payloadLen int, err error) {
 	if hdr[0] != FrameMagic0 || hdr[1] != FrameMagic1 {
 		return 0, 0, fmt.Errorf("%w: %02x %02x", ErrBadMagic, hdr[0], hdr[1])
 	}
@@ -101,7 +115,7 @@ func ReadFrame(r io.Reader, buf []byte) (kind byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	kind, n, err := checkHeader(hdr[:])
+	kind, n, err := ParseFrameHeader(hdr[:])
 	if err != nil {
 		return 0, nil, err
 	}
@@ -129,7 +143,7 @@ func ParseFrame(b []byte) (kind byte, payload []byte, rest []byte, err error) {
 	if len(b) < FrameHeaderSize {
 		return 0, nil, nil, ErrShort
 	}
-	kind, n, err := checkHeader(b[:FrameHeaderSize])
+	kind, n, err := ParseFrameHeader(b[:FrameHeaderSize])
 	if err != nil {
 		return 0, nil, nil, err
 	}

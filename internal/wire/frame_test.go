@@ -109,3 +109,23 @@ func TestFrameReadTruncatedStream(t *testing.T) {
 		t.Fatal("mid-payload cut: want ErrUnexpectedEOF")
 	}
 }
+
+// TestFrameHeaderHelpers pins the split header API to the whole-frame
+// one: PutFrameHeader writes AppendFrame's prefix, and ParseFrameHeader
+// reads it back.
+func TestFrameHeaderHelpers(t *testing.T) {
+	payload := []byte("gathered")
+	var hdr [FrameHeaderSize]byte
+	PutFrameHeader(hdr[:], 7, len(payload))
+	if want := AppendFrame(nil, 7, payload)[:FrameHeaderSize]; !bytes.Equal(hdr[:], want) {
+		t.Fatalf("header %x, AppendFrame prefix %x", hdr, want)
+	}
+	kind, n, err := ParseFrameHeader(hdr[:])
+	if err != nil || kind != 7 || n != len(payload) {
+		t.Fatalf("ParseFrameHeader = %d, %d, %v", kind, n, err)
+	}
+	hdr[2] = FrameVersion + 1
+	if _, _, err := ParseFrameHeader(hdr[:]); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("bad version: got %v", err)
+	}
+}

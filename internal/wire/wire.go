@@ -20,6 +20,11 @@ import (
 // ErrShort reports a truncated buffer.
 var ErrShort = errors.New("wire: buffer too short")
 
+// ErrNonCanonical reports a length prefix in a longer-than-minimal
+// uvarint form. Writer never emits one, so accepting it would let two
+// byte strings decode to the same value.
+var ErrNonCanonical = errors.New("wire: non-canonical length prefix")
+
 // ErrOversize reports a length prefix exceeding the remaining buffer, a
 // sign of corruption.
 var ErrOversize = errors.New("wire: length prefix exceeds buffer")
@@ -33,6 +38,10 @@ type Writer struct {
 func NewWriter(capacity int) *Writer {
 	return &Writer{buf: make([]byte, 0, capacity)}
 }
+
+// WriterOn returns a writer that appends to dst, for encoders that fill a
+// caller-supplied (pooled or presized) buffer instead of allocating.
+func WriterOn(dst []byte) *Writer { return &Writer{buf: dst} }
 
 // Bytes returns the encoded buffer. The writer must not be reused after.
 func (w *Writer) Bytes() []byte { return w.buf }
@@ -158,7 +167,8 @@ func (r *Reader) ID() id.ID {
 }
 
 // Blob reads a length-prefixed byte string. The result aliases the input
-// buffer.
+// buffer. Only the minimal uvarint form of the prefix is accepted, so a
+// decoded blob re-encodes to the bytes it was read from.
 func (r *Reader) Blob() []byte {
 	if r.err != nil {
 		return nil
@@ -166,6 +176,11 @@ func (r *Reader) Blob() []byte {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		r.fail(ErrShort)
+		return nil
+	}
+	if n > 1 && r.buf[r.off+n-1] == 0 {
+		// A final group of zero bits adds nothing: the prefix is padded.
+		r.fail(ErrNonCanonical)
 		return nil
 	}
 	if v > uint64(len(r.buf)-r.off-n) {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"tap/internal/id"
@@ -112,5 +113,29 @@ func TestZeroValueReads(t *testing.T) {
 	r := NewReader(nil)
 	if r.Byte() != 0 || r.Uint32() != 0 || r.Uint64() != 0 || !r.ID().IsZero() || r.Blob() != nil {
 		t.Fatalf("post-error reads not zero-valued")
+	}
+}
+
+// TestBlobRejectsPaddedPrefix: a length prefix in a longer-than-minimal
+// uvarint form decodes to the same length as the minimal one, so
+// accepting it would break decode/re-encode identity.
+func TestBlobRejectsPaddedPrefix(t *testing.T) {
+	for _, buf := range [][]byte{
+		{0x80, 0x00},                // 0 in two bytes
+		{0x83, 0x00, 'a', 'b', 'c'}, // 3 in two bytes
+		{0x80, 0x80, 0x00},          // 0 in three bytes
+	} {
+		r := NewReader(buf)
+		r.Blob()
+		if !errors.Is(r.Err(), ErrNonCanonical) {
+			t.Fatalf("%x: got %v, want ErrNonCanonical", buf, r.Err())
+		}
+	}
+	// Minimal multi-byte prefixes still decode.
+	w := NewWriter(0)
+	w.Blob(make([]byte, 300))
+	r := NewReader(w.Bytes())
+	if b := r.Blob(); len(b) != 300 || r.Done() != nil {
+		t.Fatalf("300-byte blob: %d bytes, %v", len(b), r.Done())
 	}
 }
