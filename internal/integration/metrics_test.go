@@ -156,15 +156,20 @@ func TestMetricsScrapeAcrossProcesses(t *testing.T) {
 	}
 
 	// Invariant 4 — anchor conservation: the client deployed exactly
-	// fw+rp anchors; they live on the relays (hop IDs are unique, so
-	// redeploys overwrite, never duplicate), and the client cannot have
-	// consumed more acks than installations that happened.
-	if held := sumAcross(snaps, "tap_node_anchors"); held != anchors {
-		t.Errorf("anchors held across relays = %v, want %d", held, anchors)
-	}
+	// fw+rp anchors (redeploys overwrite, so installs can only add), it
+	// deleted each one when the stream ended, and every holder accepted
+	// its delete: after quiesce the relays hold no anchors at all. The
+	// client cannot have consumed more acks than installations happened.
 	installs := sumAcross(snaps, "tap_node_anchor_installs_total")
 	if installs < anchors {
 		t.Errorf("anchor installs = %v, want >= %d", installs, anchors)
+	}
+	deletes := valueAcross(snaps, "tap_node_anchor_deletes_total", obs.Label{Name: "result", Value: "ok"})
+	if deletes != anchors {
+		t.Errorf("anchor deletes ok = %v, want %d", deletes, anchors)
+	}
+	if held := sumAcross(snaps, "tap_node_anchors"); held != installs-deletes || held != 0 {
+		t.Errorf("anchors held across relays = %v, want installs - deletes = %v = 0", held, installs-deletes)
 	}
 	clientSnap := scrape(t, clientMetrics)
 	if acks := clientSnap.Sum("tap_node_anchor_acks_total"); acks < anchors || acks > installs {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"tap/internal/core"
+	"tap/internal/crypt"
 	"tap/internal/id"
 	"tap/internal/tha"
 	"tap/internal/transport"
@@ -29,6 +30,7 @@ const (
 	kindForward   = 3 // a forward-tunnel envelope (core.Envelope)
 	kindReply     = 4 // a reply-tunnel envelope (core.ReplyEnvelope)
 	kindData      = 5 // an exit payload en route to its destination node
+	kindDelete    = 6 // remove an anchor, authenticated by its password
 )
 
 // AnchorMsg deploys one anchor <hopid, K, H(PW)> onto the receiving
@@ -50,6 +52,18 @@ type AnchorAck struct {
 
 // SizeBytes implements transport.Message.
 func (m *AnchorAck) SizeBytes() int { return id.Size }
+
+// AnchorDelete asks the holder of hop HopID to drop its anchor: TAP's
+// §3.4 deletion, where revealing PW proves ownership because only the
+// initiator knows the preimage of the stored H(PW). Like AnchorMsg it
+// travels straight from the initiator to the holder.
+type AnchorDelete struct {
+	HopID id.ID
+	PW    crypt.Password
+}
+
+// SizeBytes implements transport.Message.
+func (m *AnchorDelete) SizeBytes() int { return id.Size + crypt.PasswordSize }
 
 // DataMsg carries an exit payload from the tunnel's exit hop to the
 // destination node named inside the innermost layer.
@@ -106,6 +120,10 @@ func (Codec) AppendEncode(dst []byte, msg transport.Message) (byte, []byte, erro
 		w.ID(m.Dest)
 		w.Blob(m.Payload)
 		return kindData, w.Bytes(), nil
+	case *AnchorDelete:
+		w.ID(m.HopID)
+		w.Blob(m.PW[:])
+		return kindDelete, w.Bytes(), nil
 	default:
 		return 0, dst, fmt.Errorf("procnode: cannot encode %T", msg)
 	}
@@ -126,6 +144,8 @@ func encodedSize(msg transport.Message) int {
 		return id.Size + 8 + blob(len(m.Onion)) + blob(len(m.Data)) + 4
 	case *DataMsg:
 		return id.Size + blob(len(m.Payload))
+	case *AnchorDelete:
+		return id.Size + blob(len(m.PW))
 	default:
 		return 0
 	}
@@ -194,6 +214,17 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 			return nil, fmt.Errorf("procnode: data: %w", err)
 		}
 		return m, nil
+	case kindDelete:
+		m := &AnchorDelete{HopID: r.ID()}
+		pw := r.Blob()
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("procnode: anchor delete: %w", err)
+		}
+		if len(pw) != len(m.PW) {
+			return nil, fmt.Errorf("procnode: anchor delete: %d-byte password", len(pw))
+		}
+		copy(m.PW[:], pw)
+		return m, nil
 	default:
 		return nil, fmt.Errorf("procnode: unknown frame kind %d", kind)
 	}
@@ -203,5 +234,6 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 var (
 	_ transport.Message = (*AnchorMsg)(nil)
 	_ transport.Message = (*AnchorAck)(nil)
+	_ transport.Message = (*AnchorDelete)(nil)
 	_ transport.Message = (*DataMsg)(nil)
 )

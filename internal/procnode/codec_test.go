@@ -27,6 +27,7 @@ func codecSamples() []transport.Message {
 		&core.Envelope{HopID: NodeID(1), Hint: 4, Sealed: bytes.Repeat([]byte("s"), 200), Pad: 3},
 		&core.ReplyEnvelope{Target: NodeID(2), Hint: transport.NoAddr, Onion: []byte("onion"), Data: []byte("data"), Pad: 1},
 		&DataMsg{Dest: NodeID(3), Payload: []byte("payload")},
+		&AnchorDelete{HopID: a.HopID, PW: crypt.Password{1, 2, 3}},
 	}
 }
 
@@ -80,6 +81,15 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	short = append(short, anchor[id.Size+1+crypt.KeySize:]...)
 	if _, err := c.Decode(kindAnchor, short); err == nil {
 		t.Fatal("anchor with a short key accepted")
+	}
+	// A delete whose password blob is one byte short.
+	_, del, err := c.Encode(&AnchorDelete{HopID: NodeID(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	del[id.Size]--
+	if _, err := c.Decode(kindDelete, del[:len(del)-1]); err == nil {
+		t.Fatal("delete with a short password accepted")
 	}
 	// A padded length prefix: 0x87 0x00 encodes 7 in two bytes.
 	dest := NodeID(3)

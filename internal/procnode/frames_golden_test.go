@@ -72,6 +72,8 @@ func goldenMessages() []transport.Message {
 	a.HopID = id.HashString("golden/anchor")
 	copy(a.Key[:], fill(crypt.KeySize, 1))
 	copy(a.PWHash[:], fill(32, 2))
+	var pw crypt.Password
+	copy(pw[:], fill(crypt.PasswordSize, 8))
 	return []transport.Message{
 		&procnode.AnchorMsg{Anchor: a},
 		&procnode.AnchorAck{HopID: id.HashString("golden/ack")},
@@ -79,6 +81,7 @@ func goldenMessages() []transport.Message {
 		&core.Envelope{HopID: id.HashString("golden/fw-big"), Hint: transport.NoAddr, Sealed: fill(20000, 4), Pad: 0},
 		&core.ReplyEnvelope{Target: id.HashString("golden/rp"), Hint: 5, Onion: fill(150, 5), Data: fill(700, 6), Pad: 9},
 		&procnode.DataMsg{Dest: id.HashString("golden/data"), Payload: fill(64, 7)},
+		&procnode.AnchorDelete{HopID: id.HashString("golden/delete"), PW: pw},
 	}
 }
 

@@ -20,11 +20,17 @@ type nodeMetrics struct {
 	anchorAcks     *obs.Counter // anchor acks received as initiator
 	anchorsHeld    *obs.Gauge   // anchors currently stored
 
+	// Anchor deletions received as holder, by outcome.
+	deletesOK      *obs.Counter // password verified, anchor dropped
+	deletesBadPW   *obs.Counter // password did not match H(PW); anchor kept
+	deletesUnknown *obs.Counter // no anchor under that hop id
+
 	parkRetries  *obs.Counter // sends parked on a lagging membership view
 	resolveDrops *obs.Counter // messages dropped after the retry budget
 
 	streamChunks      *obs.Counter   // chunks round-tripped by RoundTripStream
 	streamRetransmits *obs.Counter   // anchor redeploys + chunk resends after a timeout
+	chunkRTT          *obs.Histogram // first send → verified echo, chunks sent once only
 	peelSeconds       *obs.Histogram // time to open one onion layer, either direction
 }
 
@@ -32,6 +38,9 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 	dir := func(v string) obs.Label { return obs.Label{Name: "dir", Value: v} }
 	const peels = "tap_node_peels_total"
 	const peelsHelp = "Onion layers opened, by tunnel direction."
+	result := func(v string) obs.Label { return obs.Label{Name: "result", Value: v} }
+	const deletes = "tap_node_anchor_deletes_total"
+	const deletesHelp = "Anchor deletions received, by result."
 	return &nodeMetrics{
 		peelsForward: reg.Counter(peels, peelsHelp, dir("forward")),
 		peelsReply:   reg.Counter(peels, peelsHelp, dir("reply")),
@@ -44,11 +53,23 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		anchorAcks:     reg.Counter("tap_node_anchor_acks_total", "Anchor acks received as initiator."),
 		anchorsHeld:    reg.Gauge("tap_node_anchors", "Anchors currently stored."),
 
+		deletesOK:      reg.Counter(deletes, deletesHelp, result("ok")),
+		deletesBadPW:   reg.Counter(deletes, deletesHelp, result("bad_pw")),
+		deletesUnknown: reg.Counter(deletes, deletesHelp, result("unknown")),
+
 		parkRetries:  reg.Counter("tap_node_park_retries_total", "Sends parked awaiting membership catch-up."),
 		resolveDrops: reg.Counter("tap_node_resolve_drops_total", "Messages dropped after the resolve retry budget."),
 
 		streamChunks:      reg.Counter("tap_node_stream_chunks_total", "Chunks round-tripped by streams."),
 		streamRetransmits: reg.Counter("tap_node_stream_retransmits_total", "Stream retransmissions after a timeout."),
+		chunkRTT:          reg.Histogram("tap_node_chunk_rtt_seconds", "Chunk first send to verified echo; resent chunks unsampled.", chunkRTTBuckets),
 		peelSeconds:       reg.Histogram("tap_node_peel_seconds", "Time to open one onion layer.", nil),
 	}
+}
+
+// chunkRTTBuckets resolve loopback round trips (a few hundred µs) as
+// well as WAN ones: 100µs to 10s.
+var chunkRTTBuckets = []float64{
+	.0001, .00025, .0005, .00075, .001, .0015, .002, .003, .005, .0075,
+	.01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
 }

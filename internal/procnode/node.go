@@ -50,6 +50,9 @@ type Node struct {
 	byID map[id.ID]transport.Addr // nodeID → transport address
 
 	// Initiator-side notification channels, consumed by RoundTripStream.
+	// Their 64 slots hold a whole exchange's acks and a full chunk window
+	// (windowChunks) with room left for late duplicates, so the dispatch
+	// loop never blocks on them; an overflowing one drops and logs.
 	acks    chan id.ID
 	replies chan []byte
 }
@@ -96,14 +99,11 @@ func (n *Node) lookupID(target id.ID) (transport.Addr, bool) {
 	return a, ok
 }
 
-// AnchorCount reports how many anchors this node currently holds. Only
-// meaningful from the dispatch loop or after traffic has quiesced.
-func (n *Node) AnchorCount() int { return len(n.anchors) }
-
 // scheduleCacheSize bounds how many of a node's anchors keep a derived
 // key schedule (expanded AES key plus keyed HMAC state, about a KiB
-// each). Nodes never delete anchors, so caching one schedule per anchor
-// ever installed would grow without bound.
+// each). Anchors leave only when their initiator deletes them, and an
+// initiator that dies mid-exchange never does, so caching one schedule
+// per anchor held would let absent initiators pin memory.
 const scheduleCacheSize = 64
 
 // scheduleRing is the fixed set of anchors allowed to hold a derived key
@@ -143,6 +143,24 @@ func (n *Node) install(a tha.Anchor) {
 	n.m.anchorsHeld.Set(int64(len(n.anchors)))
 }
 
+// remove is the holder's half of §3.4 deletion: the anchor goes, with
+// its cached key schedule, only if d.PW hashes to the stored H(PW).
+// Unknown hops and wrong passwords are counted and ignored.
+func (n *Node) remove(d *AnchorDelete) {
+	a, ok := n.anchors[d.HopID]
+	switch {
+	case !ok:
+		n.m.deletesUnknown.Inc()
+	case !a.PWHash.Verify(d.PW):
+		n.m.deletesBadPW.Inc()
+	default:
+		a.DropSchedule()
+		delete(n.anchors, d.HopID)
+		n.m.deletesOK.Inc()
+		n.m.anchorsHeld.Set(int64(len(n.anchors)))
+	}
+}
+
 // Deliver implements transport.Handler: the single entry point for all
 // overlay traffic.
 func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
@@ -157,6 +175,8 @@ func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 		default:
 			n.logf("procnode %d: ack channel full, dropping ack for %s", n.Addr, m.HopID.Short())
 		}
+	case *AnchorDelete:
+		n.remove(m)
 	case *core.Envelope:
 		n.handleForward(m)
 	case *core.ReplyEnvelope:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tap/internal/core"
+	"tap/internal/obs"
 	"tap/internal/tha"
 	"tap/internal/transport"
 	"tap/internal/transport/tcptransport"
@@ -31,7 +32,7 @@ func startOverlay(t *testing.T, n int) []*Node {
 	}
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = New(trs[i], transport.Addr(i), t.Logf, nil)
+		nodes[i] = New(trs[i], transport.Addr(i), t.Logf, obs.NewRegistry())
 		nodes[i].SetPeers(peers)
 	}
 	return nodes
@@ -58,12 +59,11 @@ func TestAnchorDeployAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.tr.Send(client.Addr, holder.Addr, &AnchorMsg{Anchor: sec.Anchor})
-	if !client.awaitAck(sec.HopID, 5*time.Second) {
-		t.Fatal("no ack for deployed anchor")
+	if err := client.deploy([]transport.Addr{holder.Addr}, []tha.Secret{sec}, StreamConfig{Timeout: 5 * time.Second}); err != nil {
+		t.Fatal(err)
 	}
-	if holder.AnchorCount() != 1 {
-		t.Fatalf("holder stores %d anchors", holder.AnchorCount())
+	if held := holder.m.anchorsHeld.Load(); held != 1 {
+		t.Fatalf("holder stores %d anchors", held)
 	}
 }
 

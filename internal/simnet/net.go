@@ -277,8 +277,12 @@ func (n *Network) Serialization(size int) Time { return n.Link.Serialization(siz
 // MaxLatency bounds the one-way propagation delay of any link.
 func (n *Network) MaxLatency() Time { return n.Link.MaxLatency }
 
-// The simulated network is the deterministic Transport implementation;
-// internal/transport/simtransport documents the pairing.
+// The simulated network is the deterministic Transport implementation:
+// engines take the *Network itself, with no adapter in between, so
+// behaviour through the seam is bit-for-bit the emulator's own (the
+// golden route/state traces in internal/pastry and the dst scenario
+// traces pin that). This assertion keeps the emulator satisfying the
+// seam as both evolve.
 var _ transport.Transport = (*Network)(nil)
 
 // --- partitions -------------------------------------------------------------

@@ -10,14 +10,34 @@ import (
 	"tap/internal/obs"
 )
 
-// TestStatsAccessorMatchesScrape is the regression test for replacing
-// the exported atomic Stats struct with registry-backed counters: the
-// compatibility accessor and the scraped exposition must be two views
-// of the same atomics, never two bookkeeping paths that can drift.
-func TestStatsAccessorMatchesScrape(t *testing.T) {
-	reg := obs.NewRegistry()
-	a := New(Config{Codec: textCodec{}, Registry: reg})
-	b := New(Config{Codec: textCodec{}})
+// dropped totals the drop counters over every cause.
+func (m *metrics) dropped() uint64 {
+	return m.dropUnknownPeer.Load() + m.dropQueueFull.Load() +
+		m.dropConnDown.Load() + m.dropNoHandler.Load() + m.dropEncode.Load()
+}
+
+// scrapeOf renders reg and parses it back, as a metrics endpoint's
+// client would.
+func scrapeOf(t *testing.T, reg *obs.Registry) *obs.Snapshot {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := obs.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, sb.String())
+	}
+	return snap
+}
+
+// TestScrapeCountsTraffic checks the registry-backed counters against
+// known traffic, read the way an operator reads them: through a scrape
+// of the transport's registry.
+func TestScrapeCountsTraffic(t *testing.T) {
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	a := New(Config{Codec: textCodec{}, Registry: regA})
+	b := New(Config{Codec: textCodec{}, Registry: regB})
 	t.Cleanup(a.Close)
 	t.Cleanup(b.Close)
 	bAddr, err := b.Listen("127.0.0.1:0")
@@ -35,41 +55,33 @@ func TestStatsAccessorMatchesScrape(t *testing.T) {
 	cb.wait(t, n)
 	a.Send(0, 99, textMsg{body: []byte("void")}) // unknown peer → drop
 
-	st := a.Stats()
-	if st.Sent != n+1 || st.Dials != 1 || st.Dropped != 1 {
-		t.Fatalf("snapshot %+v", st)
+	snap := scrapeOf(t, regA)
+	if got := snap.Sum("tap_transport_sent_total"); got != n+1 {
+		t.Fatalf("scraped sent %v, want %d", got, n+1)
 	}
-	if st.BytesSent == 0 {
-		t.Fatal("no bytes counted")
+	if got := snap.Sum("tap_transport_dials_total"); got != 1 {
+		t.Fatalf("scraped dials %v, want 1", got)
 	}
-
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
+	if got := snap.Sum("tap_transport_dropped_total"); got != 1 {
+		t.Fatalf("scraped drops %v, want 1", got)
 	}
-	snap, err := obs.ParseText(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, sb.String())
-	}
-	if got := snap.Sum("tap_transport_sent_total"); got != float64(st.Sent) {
-		t.Fatalf("scraped sent %v, accessor %d", got, st.Sent)
-	}
-	if got := snap.Sum("tap_transport_dropped_total"); got != float64(st.Dropped) {
-		t.Fatalf("scraped drops %v, accessor %d", got, st.Dropped)
-	}
-	if got := snap.Sum("tap_transport_dials_total"); got != float64(st.Dials) {
-		t.Fatalf("scraped dials %v, accessor %d", got, st.Dials)
-	}
-	if got, ok := snap.Value("tap_transport_bytes_total", obs.Label{Name: "dir", Value: "out"}); !ok || got != float64(st.BytesSent) {
-		t.Fatalf("scraped bytes out %v ok=%v, accessor %d", got, ok, st.BytesSent)
+	if got, ok := snap.Value("tap_transport_dropped_total", obs.Label{Name: "reason", Value: "unknown_peer"}); !ok || got != 1 {
+		t.Fatalf("scraped unknown_peer drops %v ok=%v, want 1", got, ok)
 	}
 	if got, ok := snap.Value("tap_transport_frames_total", obs.Label{Name: "dir", Value: "out"}); !ok || got != n {
 		t.Fatalf("frames out %v ok=%v, want %d", got, ok, n)
 	}
-	// b received what a framed.
-	bFrames := b.Stats()
-	if bFrames.Delivered != n {
-		t.Fatalf("b delivered %d, want %d", bFrames.Delivered, n)
+	bytesOut, ok := snap.Value("tap_transport_bytes_total", obs.Label{Name: "dir", Value: "out"})
+	if !ok || bytesOut == 0 {
+		t.Fatalf("scraped bytes out %v ok=%v, want > 0", bytesOut, ok)
+	}
+	// b received exactly what a framed.
+	snapB := scrapeOf(t, regB)
+	if got := snapB.Sum("tap_transport_delivered_total"); got != n {
+		t.Fatalf("b delivered %v, want %d", got, n)
+	}
+	if got, ok := snapB.Value("tap_transport_bytes_total", obs.Label{Name: "dir", Value: "in"}); !ok || got != bytesOut {
+		t.Fatalf("b read %v bytes ok=%v, a wrote %v", got, ok, bytesOut)
 	}
 }
 
@@ -129,14 +141,7 @@ func TestScrapeUnderChurn(t *testing.T) {
 	// Let the last writer goroutines unwind, then check rest state.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var sb strings.Builder
-		if err := reg.WriteText(&sb); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := obs.ParseText(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := scrapeOf(t, reg)
 		depth, _ := snap.Value("tap_transport_queue_depth")
 		active, _ := snap.Value("tap_transport_conns_active", obs.Label{Name: "dir", Value: "out"})
 		opened := snap.Sum("tap_transport_conns_opened_total")

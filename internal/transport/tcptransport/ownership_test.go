@@ -111,12 +111,12 @@ func TestPooledBuffersOwnedUntilWritten(t *testing.T) {
 	wg.Wait()
 	delivered := 0
 	deadline := time.After(10 * time.Second)
-	for delivered+int(a.Stats().Dropped) < senders*perSender {
+	for delivered+int(a.m.dropped()) < senders*perSender {
 		select {
 		case <-c.n:
 			delivered++
 		case <-deadline:
-			t.Fatalf("delivered %d of %d (dropped %d)", delivered, senders*perSender, a.Stats().Dropped)
+			t.Fatalf("delivered %d of %d (dropped %d)", delivered, senders*perSender, a.m.dropped())
 		}
 	}
 	c.check(t)
@@ -191,19 +191,19 @@ func TestPooledBuffersOwnedAcrossDrops(t *testing.T) {
 		case <-time.After(50 * time.Millisecond):
 		case <-deadline:
 			t.Fatalf("accounting never settled: delivered %d, dropped %d, sent %d",
-				delivered, a.Stats().Dropped, senders*perSender)
+				delivered, a.m.dropped(), senders*perSender)
 		}
-		if a.m.queueDepth.Load() == 0 && delivered+int(a.Stats().Dropped) >= senders*perSender {
+		if a.m.queueDepth.Load() == 0 && delivered+int(a.m.dropped()) >= senders*perSender {
 			break
 		}
 	}
 	c.check(t)
-	st := a.Stats()
-	if st.Dropped == 0 {
+	dropped := a.m.dropped()
+	if dropped == 0 {
 		t.Fatal("no drops: the drop paths were not exercised")
 	}
-	if got := uint64(delivered) + st.Dropped; got < senders*perSender {
-		t.Fatalf("delivered %d + dropped %d < sent %d", delivered, st.Dropped, senders*perSender)
+	if got := uint64(delivered) + dropped; got < senders*perSender {
+		t.Fatalf("delivered %d + dropped %d < sent %d", delivered, dropped, senders*perSender)
 	}
 }
 
@@ -257,7 +257,7 @@ func TestCodecOwnedSliceNotPooled(t *testing.T) {
 		}
 	}
 	deadline := time.After(10 * time.Second)
-	for got := 0; got+int(a.Stats().Dropped) < n; got++ {
+	for got := 0; got+int(a.m.dropped()) < n; got++ {
 		select {
 		case <-c.n:
 		case <-deadline:

@@ -163,18 +163,17 @@ type Config struct {
 	// Registry, when non-nil, receives the transport's metrics
 	// (tap_transport_*; see DESIGN.md §15). One transport per registry:
 	// the metric names are not instance-qualified. When nil the
-	// transport keeps a private registry so Stats() still reports.
+	// transport counts into a private registry.
 	Registry *obs.Registry
 }
 
 // metrics holds the transport's instruments. All counting flows through
-// obs atomics — there is no separate stats bookkeeping — so a scrape and
-// the Stats() accessor can never disagree.
+// obs atomics; there is no separate stats bookkeeping.
 type metrics struct {
 	sent      *obs.Counter
 	delivered *obs.Counter
 
-	// Drops by cause; the Stats() accessor reports their sum.
+	// Drops by cause.
 	dropUnknownPeer *obs.Counter // destination not in the peer table (or transport closed)
 	dropQueueFull   *obs.Counter // per-peer outbound queue overflow
 	dropConnDown    *obs.Counter // peer torn down: late sends and drained queues
@@ -252,34 +251,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		connClosesOut: reg.Counter(connsClosed, connsClosedHelp, dirOut),
 
 		queueDepth: reg.Gauge("tap_transport_queue_depth", "Frames parked in per-peer outbound queues."),
-	}
-}
-
-// StatsSnapshot is a point-in-time copy of the transport's core
-// counters, kept for callers predating the metrics registry. Dropped
-// aggregates every drop cause.
-type StatsSnapshot struct {
-	Sent      uint64 // messages handed to Send
-	Delivered uint64 // messages handed to a local handler
-	Dropped   uint64 // messages lost: unknown peer, full queue, dead conn, no handler, encode
-	Dials     uint64 // connection attempts
-	DialFails uint64 // failed connection attempts
-	BytesSent uint64 // framed bytes written
-}
-
-// Stats reads the current counter values. Unlike the former exported
-// Stats field there is no struct to read half-updated: every field is
-// loaded from the same atomics the metrics endpoint scrapes.
-func (t *Transport) Stats() StatsSnapshot {
-	m := t.m
-	return StatsSnapshot{
-		Sent:      m.sent.Load(),
-		Delivered: m.delivered.Load(),
-		Dropped: m.dropUnknownPeer.Load() + m.dropQueueFull.Load() +
-			m.dropConnDown.Load() + m.dropNoHandler.Load() + m.dropEncode.Load(),
-		Dials:     m.dials.Load(),
-		DialFails: m.dialFails.Load(),
-		BytesSent: m.bytesOut.Load(),
 	}
 }
 

@@ -117,7 +117,7 @@ func TestConnectionReuse(t *testing.T) {
 		a.Send(0, 1, textMsg{body: []byte(fmt.Sprintf("m%d", i))})
 	}
 	cb.wait(t, n)
-	if dials := a.Stats().Dials; dials != 1 {
+	if dials := a.m.dials.Load(); dials != 1 {
 		t.Fatalf("expected 1 dial for %d messages, got %d", n, dials)
 	}
 	cb.mu.Lock()
@@ -141,7 +141,7 @@ func TestLocalLoopback(t *testing.T) {
 	if c.got[0] != "loop" || c.from[0] != 3 {
 		t.Fatalf("got %q from %d", c.got[0], c.from[0])
 	}
-	if a.Stats().Dials != 0 {
+	if a.m.dials.Load() != 0 {
 		t.Fatalf("loopback dialed")
 	}
 }
@@ -150,7 +150,7 @@ func TestUnknownPeerDrops(t *testing.T) {
 	a := New(Config{Codec: textCodec{}})
 	t.Cleanup(a.Close)
 	a.Send(0, 42, textMsg{body: []byte("void")})
-	if d := a.Stats().Dropped; d != 1 {
+	if d := a.m.dropped(); d != 1 {
 		t.Fatalf("dropped = %d, want 1", d)
 	}
 	if a.Reachable(42) {
