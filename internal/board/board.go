@@ -54,10 +54,23 @@ func encodePeers(peers map[transport.Addr]string) []byte {
 	return w.Bytes()
 }
 
-// decodePeers parses an encodePeers payload.
+// minPeerEntry is the smallest encoded peer entry: an 8-byte address and
+// the one-byte length prefix of an empty hostport.
+const minPeerEntry = 8 + 1
+
+// decodePeers parses an encodePeers payload. The count is checked
+// against the bytes left before anything is sized from it: it comes from
+// the peer, and a map presized for 2³² entries would ask the runtime for
+// terabytes.
 func decodePeers(b []byte) (map[transport.Addr]string, error) {
 	r := wire.NewReader(b)
 	n := r.Uint32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("board: peer list: %w", err)
+	}
+	if uint64(n) > uint64(r.Remaining()/minPeerEntry) {
+		return nil, fmt.Errorf("board: peer list: %d entries in %d bytes", n, r.Remaining())
+	}
 	out := make(map[transport.Addr]string, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		a := transport.Addr(r.Int64())

@@ -79,10 +79,11 @@ func (m *DataMsg) SizeBytes() int { return id.Size + len(m.Payload) }
 //
 // Buffer ownership follows tcptransport.Codec: AppendEncode appends to
 // the buffer it is given, and Decode keeps the payload it is given —
-// decoded envelopes and exit payloads alias the frame buffer, which the
-// transport hands over with the frame. A relay therefore peels the frame
-// where it landed and copies the surviving bytes exactly once, into the
-// next frame's encode buffer.
+// decoded envelopes and exit payloads alias the frame buffer. A relay
+// therefore peels the frame where it landed and copies the surviving
+// bytes exactly once, into the next frame's encode buffer; Node reports
+// when it is done with a frame (DeliverFrame), so the transport can read
+// the next one into the same buffer.
 type Codec struct{}
 
 // Encode returns msg's frame kind and payload in a new buffer presized to

@@ -152,21 +152,27 @@ func TestScheduleCacheBounded(t *testing.T) {
 }
 
 // TestSealEchoMatchesSeal pins the responder's in-place echo sealing to
-// crypt.Seal over the wire-encoded echo: same key and nonce, same bytes.
+// crypt.Seal over the wire-encoded echo: same key and nonce, same bytes,
+// also when the sealing buffer is reused, dirty, across sizes up and down.
 func TestSealEchoMatchesSeal(t *testing.T) {
 	key, err := crypt.NewKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int{0, 1, 64, 127, 128, 1000, 1100, 16 << 10} {
+	var buf []byte
+	for _, size := range []int{0, 1, 64, 127, 128, 1000, 1100, 16 << 10, 1100, 64, 0, 16 << 10} {
 		chunk := make([]byte, size)
 		rand.Read(chunk)
 		nonce := make([]byte, crypt.NonceSize)
 		rand.Read(nonce)
-		got, err := sealEcho(key, bytes.NewReader(nonce), 7, 3, 1, chunk)
+		for i := range buf[:cap(buf)] {
+			buf[:cap(buf)][i] = 0xa5
+		}
+		got, err := sealEcho(buf, key, bytes.NewReader(nonce), 7, 3, 1, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
+		buf = got
 		w := wire.NewWriter(0)
 		w.Uint64(7)
 		w.Uint32(3)
@@ -183,11 +189,12 @@ func TestSealEchoMatchesSeal(t *testing.T) {
 }
 
 // BenchmarkRelayHop measures one relay hop on the process path: decode a
-// forward-envelope frame into a buffer the codec keeps, peel one layer
-// in place on a cached key schedule, encode the next envelope into a
-// pooled buffer and write the frame to a connection that discards it.
-// The per-iteration copy of the frame stands in for the transport's read
-// buffer, the hop's one payload-sized allocation.
+// forward-envelope frame from a read buffer the codec aliases, peel one
+// layer in place on a cached key schedule, encode the next envelope into
+// a pooled buffer and write the frame to a connection that discards it.
+// The per-iteration copy of the frame stands in for the transport's
+// read; like the transport, the hop reads into the same buffer again
+// whenever DeliverFrame reports done, and into a fresh one otherwise.
 func BenchmarkRelayHop(b *testing.B) {
 	for _, sz := range []struct {
 		name string
@@ -218,14 +225,19 @@ func BenchmarkRelayHop(b *testing.B) {
 				b.Fatal(err)
 			}
 			out := wire.FrameHeaderSize + 16 + encodedSize(&core.Envelope{Sealed: layer.Inner})
+			var buf []byte
 			hop := func() {
-				buf := make([]byte, len(frame))
+				if buf == nil {
+					buf = make([]byte, len(frame))
+				}
 				copy(buf, frame)
 				msg, err := codec.Decode(kind, buf)
 				if err != nil {
 					b.Fatal(err)
 				}
-				n.Deliver(0, msg)
+				if !n.DeliverFrame(0, msg) {
+					buf = nil
+				}
 				conn.drain(out)
 			}
 			hop() // dial and warm the pools

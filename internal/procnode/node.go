@@ -1,10 +1,12 @@
 package procnode
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,6 +57,10 @@ type Node struct {
 	// loop never blocks on them; an overflowing one drops and logs.
 	acks    chan id.ID
 	replies chan []byte
+
+	// echo is the responder's sealing buffer, reused for every echo: Send
+	// encodes before it returns, and a parked reply copies it.
+	echo []byte
 }
 
 // New attaches a node at addr on tr. Pass a nil logf for silence and a
@@ -77,6 +83,8 @@ func New(tr *tcptransport.Transport, addr transport.Addr, logf func(format strin
 	tr.Attach(addr, n)
 	return n
 }
+
+var _ tcptransport.RecyclingHandler = (*Node)(nil)
 
 // SetPeers installs the bulletin board's peer table: transport endpoints
 // for dialing and the node-ID index for destination resolution.
@@ -163,7 +171,17 @@ func (n *Node) remove(d *AnchorDelete) {
 
 // Deliver implements transport.Handler: the single entry point for all
 // overlay traffic.
-func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
+func (n *Node) Deliver(from transport.Addr, msg transport.Message) { n.DeliverFrame(from, msg) }
+
+// DeliverFrame implements tcptransport.RecyclingHandler. It reports done
+// — the frame buffer behind msg may be reused — only when msg left
+// nothing behind: a control message (Decode copied its fields), a relayed
+// envelope, exit payload or echo sent synchronously (Send encodes before
+// it returns), or a message dropped on an error. A send parked behind an
+// unreachable peer or a lagging index copies what it needs and reports
+// not-done, and so does a reply that reaches home: the initiator reads
+// its echo straight from the frame.
+func (n *Node) DeliverFrame(from transport.Addr, msg transport.Message) (done bool) {
 	switch m := msg.(type) {
 	case *AnchorMsg:
 		n.install(m.Anchor)
@@ -178,13 +196,12 @@ func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 	case *AnchorDelete:
 		n.remove(m)
 	case *core.Envelope:
-		n.handleForward(m)
+		return n.handleForward(m)
 	case *core.ReplyEnvelope:
-		n.handleReply(m)
+		return n.handleReply(m)
 	case *DataMsg:
 		if m.Dest == n.ID {
-			n.handleExitPayload(m.Payload)
-			return
+			return n.handleExitPayload(m.Payload)
 		}
 		// Exit hops address DataMsg directly; a mismatch means a stale
 		// membership view somewhere.
@@ -192,6 +209,7 @@ func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 	default:
 		n.logf("procnode %d: unexpected message %T", n.Addr, msg)
 	}
+	return true
 }
 
 // resolve maps an overlay identifier to a transport address: the §5 hint
@@ -214,114 +232,142 @@ const (
 	resolveDelay   = 200 * time.Millisecond
 )
 
-// sendResolved delivers msg to the node whose ID is target, retrying
-// while the membership index catches up. send runs with the resolved
-// address once available; after resolveRetries misses the message is
-// dropped with a log line.
-func (n *Node) sendResolved(target id.ID, attempt int, send func(dst transport.Addr)) {
+// sendResolved sends msg to the node whose ID is target through sendTo.
+// While the membership index lags it parks msg — copied on the first
+// park — and retries; after resolveRetries misses the message is dropped
+// with a log line. It reports done as sendTo does.
+func (n *Node) sendResolved(target id.ID, msg transport.Message, attempt int) (done bool) {
 	if dst, ok := n.lookupID(target); ok {
-		send(dst)
-		return
+		return n.sendTo(dst, msg, 0)
 	}
 	if attempt >= resolveRetries {
 		n.m.resolveDrops.Inc()
 		n.logf("procnode %d: cannot resolve node %s after %d attempts, dropping",
 			n.Addr, target.Short(), attempt)
-		return
+		return true
+	}
+	if attempt == 0 {
+		msg = parked(msg)
 	}
 	n.m.parkRetries.Inc()
-	n.tr.Schedule(resolveDelay, func() { n.sendResolved(target, attempt+1, send) })
+	n.tr.Schedule(resolveDelay, func() { n.sendResolved(target, msg, attempt+1) })
+	return false
 }
 
-// sendTo transmits msg to dst, parking it while dst has no dialable
-// endpoint yet — the mirror image of sendResolved for plain transport
-// addresses. A relay answering a freshly joined member (an anchor ack to
-// an initiator it has never refreshed into its peer table) hits this on
-// the first exchange; after the retry budget the send is attempted
-// anyway so the transport's drop accounting sees it.
-func (n *Node) sendTo(dst transport.Addr, msg transport.Message, attempt int) {
+// sendTo sends msg to dst, parking it — copied on the first park — while
+// dst has no dialable endpoint yet: the mirror image of sendResolved for
+// plain transport addresses. A relay answering a freshly joined member
+// (an anchor ack to an initiator it has never refreshed into its peer
+// table) hits this on the first exchange; after the retry budget the
+// send is attempted anyway so the transport's drop accounting sees it.
+// done is false only when msg was parked: Send keeps none of its bytes.
+func (n *Node) sendTo(dst transport.Addr, msg transport.Message, attempt int) (done bool) {
 	if n.tr.Reachable(dst) || attempt >= resolveRetries {
 		n.tr.Send(n.Addr, dst, msg)
-		return
+		return true
+	}
+	if attempt == 0 {
+		msg = parked(msg)
 	}
 	n.m.parkRetries.Inc()
 	n.tr.Schedule(resolveDelay, func() { n.sendTo(dst, msg, attempt+1) })
+	return false
+}
+
+// parked returns msg with its byte fields copied, for a send that
+// outlives the delivery: they alias the frame buffer or the echo buffer.
+func parked(msg transport.Message) transport.Message {
+	switch m := msg.(type) {
+	case *core.Envelope:
+		c := *m
+		c.Sealed = bytes.Clone(m.Sealed)
+		return &c
+	case *core.ReplyEnvelope:
+		c := *m
+		c.Onion, c.Data = bytes.Clone(m.Onion), bytes.Clone(m.Data)
+		return &c
+	case *DataMsg:
+		c := *m
+		c.Payload = bytes.Clone(m.Payload)
+		return &c
+	}
+	return msg
 }
 
 // handleForward peels one forward layer and relays, or — at the exit —
-// routes the payload to its destination node.
-func (n *Node) handleForward(env *core.Envelope) {
+// routes the payload to its destination node. It reports done as
+// DeliverFrame does.
+func (n *Node) handleForward(env *core.Envelope) (done bool) {
 	a, ok := n.anchor(env.HopID)
 	if !ok {
 		n.logf("procnode %d: no anchor for hop %s", n.Addr, env.HopID.Short())
-		return
+		return true
 	}
-	// The codec gave us an owned buffer: peel in place.
+	// The codec gave us the frame buffer: peel in place.
 	t0 := n.tr.Now()
 	layer, err := core.OpenForwardLayerInPlace(a, env.Sealed)
 	if err != nil {
 		n.logf("procnode %d: %v", n.Addr, err)
-		return
+		return true
 	}
 	n.m.peelsForward.Inc()
 	n.m.peelSeconds.Observe((n.tr.Now() - t0).Seconds())
 	if layer.IsExit {
 		if layer.Dest == n.ID {
-			n.handleExitPayload(layer.Payload)
-			return
+			return n.handleExitPayload(layer.Payload)
 		}
-		// The payload aliases the frame buffer we own; nothing else
-		// touches it before the DataMsg is encoded.
-		msg := &DataMsg{Dest: layer.Dest, Payload: layer.Payload}
-		n.sendResolved(msg.Dest, 0, func(dst transport.Addr) { n.sendTo(dst, msg, 0) })
-		return
+		// The payload aliases the frame buffer; nothing touches it before
+		// the DataMsg is encoded or parked.
+		return n.sendResolved(layer.Dest, &DataMsg{Dest: layer.Dest, Payload: layer.Payload}, 0)
 	}
 	dst, ok := n.resolve(layer.NextHint, layer.Next)
 	if !ok {
 		n.logf("procnode %d: cannot route hop %s (no hint, no index entry)", n.Addr, layer.Next.Short())
-		return
+		return true
 	}
 	next := &core.Envelope{HopID: layer.Next, Hint: layer.NextHint, Sealed: layer.Inner}
 	next.PadToMatch(env.SizeBytes())
 	n.m.relaysForwarded.Inc()
-	n.sendTo(dst, next, 0)
+	return n.sendTo(dst, next, 0)
 }
 
 // handleReply peels one reply layer when this node anchors the target
-// hop, or consumes the envelope when it is the initiator's own bid.
-func (n *Node) handleReply(env *core.ReplyEnvelope) {
+// hop, or consumes the envelope when it is the initiator's own bid. It
+// reports done as DeliverFrame does.
+func (n *Node) handleReply(env *core.ReplyEnvelope) (done bool) {
 	a, ok := n.anchor(env.Target)
 	if !ok {
 		if env.Target == n.ID {
-			// The tail hop resolved our bid: the reply is home.
+			// The tail hop resolved our bid: the reply is home. The echo
+			// goes to RoundTripStream in the frame buffer, uncopied.
 			n.m.repliesHome.Inc()
 			select {
 			case n.replies <- env.Data:
+				return false
 			default:
 				n.logf("procnode %d: reply channel full", n.Addr)
+				return true
 			}
-			return
 		}
 		n.logf("procnode %d: no anchor for reply hop %s", n.Addr, env.Target.Short())
-		return
+		return true
 	}
 	t0 := n.tr.Now()
 	next, hint, rest, err := core.OpenReplyLayerInPlace(a, env.Onion)
 	if err != nil {
 		n.logf("procnode %d: %v", n.Addr, err)
-		return
+		return true
 	}
 	n.m.peelsReply.Inc()
 	n.m.peelSeconds.Observe((n.tr.Now() - t0).Seconds())
 	out := &core.ReplyEnvelope{Target: next, Hint: hint, Onion: rest, Data: env.Data}
 	out.PadToMatch(env.SizeBytes())
 	if hint != transport.NoAddr {
-		n.sendTo(hint, out, 0)
-		return
+		return n.sendTo(hint, out, 0)
 	}
 	// The tail layer names the initiator's bid with no hint; resolve it
 	// through the membership index, tolerating a lagging view.
-	n.sendResolved(next, 0, func(dst transport.Addr) { n.sendTo(dst, out, 0) })
+	return n.sendResolved(next, out, 0)
 }
 
 // Exit payload format (the plaintext the exit layer reveals, §4's
@@ -349,8 +395,9 @@ func encodeRequest(sid uint64, seq uint32, fin bool, key crypt.Key, rt, chunk []
 }
 
 // handleExitPayload is the responder role: decode a stream request, seal
-// the echo under the request's key, and launch it down the reply tunnel.
-func (n *Node) handleExitPayload(payload []byte) {
+// the echo under the request's key into the node's echo buffer, and
+// launch it down the reply tunnel. It reports done as DeliverFrame does.
+func (n *Node) handleExitPayload(payload []byte) (done bool) {
 	n.m.exitPayloads.Inc()
 	r := wire.NewReader(payload)
 	sid := r.Uint64()
@@ -362,40 +409,44 @@ func (n *Node) handleExitPayload(payload []byte) {
 	chunk := r.Blob()
 	if err := r.Done(); err != nil {
 		n.logf("procnode %d: bad exit payload: %v", n.Addr, err)
-		return
+		return true
 	}
 	rt, err := core.DecodeReplyTunnel(rtEnc)
 	if err != nil {
 		n.logf("procnode %d: %v", n.Addr, err)
-		return
+		return true
 	}
-	sealed, err := sealEcho(key, rand.Reader, sid, seq, fin, chunk)
+	sealed, err := sealEcho(n.echo, key, rand.Reader, sid, seq, fin, chunk)
 	if err != nil {
 		n.logf("procnode %d: sealing echo: %v", n.Addr, err)
-		return
+		return true
 	}
+	n.echo = sealed
 	dst, ok := n.resolve(rt.FirstHint, rt.First)
 	if !ok {
 		n.logf("procnode %d: cannot route reply head %s", n.Addr, rt.First.Short())
-		return
+		return true
 	}
-	n.sendTo(dst, &core.ReplyEnvelope{
+	return n.sendTo(dst, &core.ReplyEnvelope{
 		Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: sealed,
 	}, 0)
 }
 
-// sealEcho seals the echo payload for (sid, seq, fin, chunk) under key.
-// The header is written straight into the sealed buffer and the chunk is
-// encrypted from where it lies, so the reply costs one allocation and no
+// sealEcho seals the echo payload for (sid, seq, fin, chunk) under key
+// into buf's backing array, growing it when too small, and returns the
+// sealed bytes. The header is written straight into the sealed buffer
+// and the chunk is encrypted from where it lies, so the reply costs no
 // plaintext copy; the output is bit-identical to crypt.Seal over the
-// wire-encoded echo with the same nonce source.
-func sealEcho(key crypt.Key, nonces io.Reader, sid uint64, seq uint32, fin byte, chunk []byte) ([]byte, error) {
+// wire-encoded echo with the same nonce source. chunk must not overlap
+// buf.
+func sealEcho(buf []byte, key crypt.Key, nonces io.Reader, sid uint64, seq uint32, fin byte, chunk []byte) ([]byte, error) {
 	var hdr [8 + 4 + 1 + binary.MaxVarintLen64]byte
 	binary.BigEndian.PutUint64(hdr[0:], sid)
 	binary.BigEndian.PutUint32(hdr[8:], seq)
 	hdr[12] = fin
 	hdrLen := 13 + binary.PutUvarint(hdr[13:], uint64(len(chunk)))
-	sealed := make([]byte, crypt.Overhead+hdrLen+len(chunk))
+	size := crypt.Overhead + hdrLen + len(chunk)
+	sealed := slices.Grow(buf[:0], size)[:size]
 	copy(sealed[crypt.NonceSize:], hdr[:hdrLen])
 	if err := crypt.NewSealer(key).SealInPlaceFrom(sealed, nonces, hdrLen, chunk); err != nil {
 		return nil, err

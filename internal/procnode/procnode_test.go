@@ -18,22 +18,45 @@ import (
 // wiring the bulletin board performs for real processes.
 func startOverlay(t *testing.T, n int) []*Node {
 	t.Helper()
-	trs := make([]*tcptransport.Transport, n)
-	peers := make(map[transport.Addr]string, n)
-	for i := 0; i < n; i++ {
-		tr := tcptransport.New(tcptransport.Config{Codec: Codec{}, Logf: t.Logf})
-		t.Cleanup(tr.Close)
-		hostport, err := tr.Listen("127.0.0.1:0")
+	hosts := make([][]transport.Addr, n)
+	for i := range hosts {
+		hosts[i] = []transport.Addr{transport.Addr(i)}
+	}
+	byAddr := hostOverlay(t, hosts, t.Logf)
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nodes[i] = byAddr[transport.Addr(i)]
+	}
+	return nodes
+}
+
+// hostOverlay is startOverlay with several addresses per transport:
+// hosts[i] lists the node addresses transport i carries, and sends
+// between co-hosted addresses take the transport's local path. Every
+// node logs through logf.
+func hostOverlay(t *testing.T, hosts [][]transport.Addr, logf func(string, ...any)) map[transport.Addr]*Node {
+	t.Helper()
+	peers := make(map[transport.Addr]string)
+	trs := make([]*tcptransport.Transport, len(hosts))
+	for i, addrs := range hosts {
+		trs[i] = tcptransport.New(tcptransport.Config{Codec: Codec{}, Logf: t.Logf})
+		t.Cleanup(trs[i].Close)
+		hp, err := trs[i].Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		trs[i] = tr
-		peers[transport.Addr(i)] = hostport
+		for _, a := range addrs {
+			peers[a] = hp
+		}
 	}
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = New(trs[i], transport.Addr(i), t.Logf, obs.NewRegistry())
-		nodes[i].SetPeers(peers)
+	nodes := make(map[transport.Addr]*Node)
+	for i, addrs := range hosts {
+		for _, a := range addrs {
+			nodes[a] = New(trs[i], a, logf, obs.NewRegistry())
+		}
+	}
+	for _, n := range nodes {
+		n.SetPeers(peers)
 	}
 	return nodes
 }

@@ -22,10 +22,13 @@
 // (Codec.AppendEncode) and queues it beside its 24-byte frame header; the
 // peer's writer drains whatever is queued, up to writeBatch frames, into
 // one writev (net.Buffers) and then recycles the buffers. Readers wrap
-// each connection in a bufio.Reader and read every frame into a buffer of
-// its own that the codec's Decode keeps, so decoded messages alias it
-// instead of copying. One relayed frame thus costs one payload-sized
-// allocation (the read buffer) and no transport-side payload copies.
+// each connection in a bufio.Reader and read every frame into a buffer
+// that the codec's Decode may alias instead of copying. A large frame
+// bound for a RecyclingHandler is read into a pooled buffer, which goes
+// back to the pool when the handler reports it kept nothing of the
+// message; every other frame gets a fresh buffer that is never reused.
+// A relayed frame thus costs no payload-sized allocation and no
+// transport-side payload copy once the pools are warm.
 //
 // Dialing goes through the Dialer seam: the default is a net.Dialer with
 // Config.DialTimeout, and tests (or an onion-routed deployment wrapping
@@ -68,12 +71,25 @@ import (
 // (the codec returned a buffer of its own, or append had to grow) is
 // written but never pooled.
 //
-// Decode owns payload: every frame is read into a fresh buffer that the
-// transport never touches again, so decoded messages may alias it
-// instead of copying.
+// Decode may keep payload: decoded messages may alias it instead of
+// copying. The transport reads a later frame into the same buffer only
+// after the message has gone to a RecyclingHandler whose DeliverFrame
+// returned true (or Decode failed, or no handler was attached); a buffer
+// delivered to any other handler is never reused.
 type Codec interface {
 	AppendEncode(dst []byte, msg transport.Message) (kind byte, out []byte, err error)
 	Decode(kind byte, payload []byte) (transport.Message, error)
+}
+
+// RecyclingHandler is a Handler that can give a delivered frame's buffer
+// back. DeliverFrame is Deliver with one more answer: done reports that
+// the handler kept nothing of msg — no slice of its bytes outlives the
+// call — so the transport may read a later frame into the same buffer.
+// The dispatch loop calls DeliverFrame instead of Deliver for handlers
+// that implement it.
+type RecyclingHandler interface {
+	transport.Handler
+	DeliverFrame(from transport.Addr, msg transport.Message) (done bool)
 }
 
 // frameHeaderSize is the fixed prefix of every transport frame: the wire
@@ -104,6 +120,51 @@ const readBufferSize = 4 << 10
 // encodePool recycles encode buffers across frames (and transports).
 // Entries are *[]byte so Put does not allocate.
 var encodePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// Inbound frames of more than minPooledFrame and at most maxPooledFrame
+// payload bytes that are bound for a RecyclingHandler are read into
+// buffers from framePools, one pool per frameClass bytes of capacity, so
+// frames of slightly different sizes share buffers. Smaller frames are
+// plain allocations: pooling them buys nothing.
+const (
+	minPooledFrame = 2 << 10
+	maxPooledFrame = 64 << 10
+	frameClass     = 4 << 10
+)
+
+var framePools [maxPooledFrame/frameClass + 1]sync.Pool
+
+// frameBuffer returns an n-byte buffer for one inbound frame and, when it
+// comes from framePools, its pool entry (else nil).
+func frameBuffer(recycle bool, n int) ([]byte, *[]byte) {
+	if !recycle || n <= minPooledFrame || n > maxPooledFrame {
+		return make([]byte, n), nil
+	}
+	class := (n + frameClass - 1) / frameClass
+	bp, _ := framePools[class].Get().(*[]byte)
+	if bp == nil {
+		b := make([]byte, class*frameClass)
+		bp = &b
+	}
+	return (*bp)[:n], bp
+}
+
+// recycleFrame returns a frame buffer to its pool; nil is a no-op.
+func recycleFrame(bp *[]byte) {
+	if bp != nil {
+		framePools[cap(*bp)/frameClass].Put(bp)
+	}
+}
+
+// event is one entry of the dispatch queue: a callback (fn), or a
+// delivery of msg from src to dst, with the pool entry behind msg's
+// bytes (buf, nil when they are not pooled).
+type event struct {
+	fn       func()
+	src, dst transport.Addr
+	msg      transport.Message
+	buf      *[]byte
+}
 
 // outFrame is one queued frame: its header and the codec's payload. buf
 // is the pool entry backing payload, or nil when the payload is not a
@@ -279,7 +340,7 @@ type Transport struct {
 	start time.Time
 	m     *metrics
 
-	events chan func()
+	events chan event
 	quit   chan struct{}
 	wg     sync.WaitGroup
 
@@ -314,7 +375,7 @@ func New(cfg Config) *Transport {
 		cfg:      cfg,
 		start:    time.Now(),
 		m:        newMetrics(cfg.Registry),
-		events:   make(chan func(), 1024),
+		events:   make(chan event, 1024),
 		quit:     make(chan struct{}),
 		handlers: make(map[transport.Addr]transport.Handler),
 		peers:    make(map[transport.Addr]string),
@@ -338,14 +399,14 @@ func (t *Transport) loop() {
 	defer t.wg.Done()
 	for {
 		select {
-		case fn := <-t.events:
-			fn()
+		case ev := <-t.events:
+			t.dispatch(ev)
 		case <-t.quit:
 			// Drain whatever is already queued, then stop.
 			for {
 				select {
-				case fn := <-t.events:
-					fn()
+				case ev := <-t.events:
+					t.dispatch(ev)
 				default:
 					return
 				}
@@ -354,12 +415,46 @@ func (t *Transport) loop() {
 	}
 }
 
-// enqueue files fn onto the dispatch loop; after Close it is dropped.
-func (t *Transport) enqueue(fn func()) {
+// dispatch runs one event on the loop. A delivery's pooled buffer goes
+// back to its pool only when no handler saw it, or when a
+// RecyclingHandler reports it kept nothing.
+func (t *Transport) dispatch(ev event) {
+	if ev.fn != nil {
+		ev.fn()
+		return
+	}
+	t.mu.Lock()
+	h := t.handlers[ev.dst]
+	t.mu.Unlock()
+	if h == nil {
+		t.m.dropNoHandler.Inc()
+		recycleFrame(ev.buf)
+		return
+	}
+	t.m.delivered.Inc()
+	if r, ok := h.(RecyclingHandler); ok {
+		if r.DeliverFrame(ev.src, ev.msg) {
+			recycleFrame(ev.buf)
+		}
+		return
+	}
+	h.Deliver(ev.src, ev.msg)
+}
+
+// enqueue files ev onto the dispatch loop; after Close it is dropped.
+func (t *Transport) enqueue(ev event) {
 	select {
-	case t.events <- fn:
+	case t.events <- ev:
 	case <-t.quit:
 	}
+}
+
+// recycles reports whether dst's handler gives frame buffers back.
+func (t *Transport) recycles(dst transport.Addr) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.handlers[dst].(RecyclingHandler)
+	return ok
 }
 
 // Listen starts accepting inbound connections on hostport (e.g.
@@ -396,8 +491,9 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 
 // readLoop decodes frames from one inbound connection and dispatches
 // them. The frame payload is [src:8][dst:8][codec payload]. Each frame is
-// read through the connection's bufio.Reader into a buffer of its own,
-// which the codec keeps.
+// read through the connection's bufio.Reader into a buffer the codec may
+// keep: a pooled one when the frame is in the pooled size range and its
+// destination's handler recycles, else a fresh one.
 //
 // The src address is taken from the frame as-is: the transport trusts
 // the network segment it runs on and does no per-connection
@@ -435,7 +531,15 @@ func (t *Transport) readLoop(conn net.Conn) {
 			return
 		}
 		_, _ = br.Discard(wire.FrameHeaderSize) // cannot fail: Peek just buffered these bytes
-		payload := make([]byte, n)
+		recycle := false
+		if n > minPooledFrame && n <= maxPooledFrame {
+			addrs, err := br.Peek(16)
+			if err != nil {
+				return
+			}
+			recycle = t.recycles(transport.Addr(int64(binary.BigEndian.Uint64(addrs[8:16]))))
+		}
+		payload, buf := frameBuffer(recycle, n)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
@@ -450,28 +554,13 @@ func (t *Transport) readLoop(conn net.Conn) {
 		dst := transport.Addr(int64(binary.BigEndian.Uint64(payload[8:16])))
 		msg, err := t.cfg.Codec.Decode(kind, payload[16:])
 		if err != nil {
+			recycleFrame(buf)
 			t.m.decodeErrs.Inc()
 			t.logf("tcptransport: decode kind %d from %s: %v", kind, conn.RemoteAddr(), err)
 			continue
 		}
-		t.deliverLocal(src, dst, msg)
+		t.enqueue(event{src: src, dst: dst, msg: msg, buf: buf})
 	}
-}
-
-// deliverLocal routes a decoded (or loopback) message to dst's handler on
-// the dispatch loop.
-func (t *Transport) deliverLocal(src, dst transport.Addr, msg transport.Message) {
-	t.enqueue(func() {
-		t.mu.Lock()
-		h := t.handlers[dst]
-		t.mu.Unlock()
-		if h == nil {
-			t.m.dropNoHandler.Inc()
-			return
-		}
-		t.m.delivered.Inc()
-		h.Deliver(src, msg)
-	})
 }
 
 // --- transport.Transport ----------------------------------------------------
@@ -487,22 +576,23 @@ func (t *Transport) Schedule(delay transport.Time, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	time.AfterFunc(delay, func() { t.enqueue(fn) })
+	time.AfterFunc(delay, func() { t.enqueue(event{fn: fn}) })
 }
 
-// Send encodes and transmits msg. Local destinations (an attached
-// handler in this process) short-circuit through the dispatch loop
-// without touching a socket, so one process can host several addresses —
-// the integration tests and single-binary demos rely on that. Remote
-// messages are encoded into a pooled buffer and queued for the peer's
-// writer; every drop path returns the buffer to the pool.
+// Send encodes and transmits msg. It never retains msg's bytes: the
+// caller may reuse them as soon as Send returns. Local destinations (an
+// attached handler in this process) short-circuit through the dispatch
+// loop without touching a socket, so one process can host several
+// addresses — the integration tests and single-binary demos rely on
+// that. Remote messages are encoded into a pooled buffer and queued for
+// the peer's writer; every drop path returns the buffer to the pool.
 func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 	t.m.sent.Inc()
 	t.mu.Lock()
-	_, local := t.handlers[dst]
+	h := t.handlers[dst]
 	t.mu.Unlock()
-	if local {
-		t.deliverLocal(src, dst, msg)
+	if h != nil {
+		t.loopback(src, dst, h, msg)
 		return
 	}
 	f, err := t.encode(src, dst, msg)
@@ -547,6 +637,33 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 		f.release()
 		t.m.dropQueueFull.Inc()
 	}
+}
+
+// loopback delivers msg to h, attached at dst on this transport, the way
+// a frame from a socket arrives: encoded, then decoded from a buffer of
+// its own, so the delivered message never aliases the caller's bytes.
+func (t *Transport) loopback(src, dst transport.Addr, h transport.Handler, msg transport.Message) {
+	_, recycle := h.(RecyclingHandler)
+	buf, bp := frameBuffer(recycle, min(msg.SizeBytes()+encodeSlack, maxPresize))
+	kind, payload, err := t.cfg.Codec.AppendEncode(buf[:0], msg)
+	if err != nil {
+		recycleFrame(bp)
+		t.logf("tcptransport: encode to %d: %v", dst, err)
+		t.m.dropEncode.Inc()
+		return
+	}
+	if bp != nil && !sameArray(payload, *bp) {
+		recycleFrame(bp) // the payload outgrew it
+		bp = nil
+	}
+	m, err := t.cfg.Codec.Decode(kind, payload)
+	if err != nil {
+		recycleFrame(bp)
+		t.m.decodeErrs.Inc()
+		t.logf("tcptransport: decode kind %d from local %d: %v", kind, src, err)
+		return
+	}
+	t.enqueue(event{src: src, dst: dst, msg: m, buf: bp})
 }
 
 // encode builds msg's frame: the codec appends the payload to a pooled
@@ -617,7 +734,7 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 	if err != nil {
 		t.m.dialFails.Inc()
 		t.logf("tcptransport: dial %d (%s): %v", dst, p.hostport, err)
-		t.dropPeer(dst, p, false)
+		t.dropPeer(dst, p)
 		return
 	}
 	t.m.dialSeconds.Observe(time.Since(dialStart).Seconds())
@@ -684,7 +801,7 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 		if err != nil {
 			t.m.dropConnDown.Add(uint64(unsent))
 			t.logf("tcptransport: write %d (%s): %v", dst, p.hostport, err)
-			t.dropPeer(dst, p, true)
+			t.dropPeer(dst, p)
 			return
 		}
 	}
@@ -694,7 +811,7 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 // and — if it was still the live record for dst — marks the address
 // down for Reachable. A stale peer (already replaced by SetPeer) is
 // drained without touching the fresh endpoint's state.
-func (t *Transport) dropPeer(dst transport.Addr, p *peer, hadConn bool) {
+func (t *Transport) dropPeer(dst transport.Addr, p *peer) {
 	p.shutdown()
 	t.mu.Lock()
 	current := t.conns[dst] == p
@@ -711,10 +828,9 @@ func (t *Transport) dropPeer(dst transport.Addr, p *peer, hadConn bool) {
 	if current && !wasDown {
 		for _, fn := range watchers {
 			fn := fn
-			t.enqueue(func() { fn(dst, false) })
+			t.enqueue(event{fn: func() { fn(dst, false) }})
 		}
 	}
-	_ = hadConn
 }
 
 // discardQueued drains whatever was queued behind a dead connection,
@@ -750,7 +866,7 @@ func (t *Transport) markUp(dst transport.Addr) {
 	if wasDown {
 		for _, fn := range watchers {
 			fn := fn
-			t.enqueue(func() { fn(dst, true) })
+			t.enqueue(event{fn: func() { fn(dst, true) }})
 		}
 	}
 }
